@@ -50,6 +50,17 @@ func (t *TTSA) WithObserver(o solver.SolveObserver) *TTSA {
 	return &c
 }
 
+// WithConfig returns a copy of the scheduler running cfg and reporting to
+// the same observer.
+func (t *TTSA) WithConfig(cfg Config) (*TTSA, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	c := *t
+	c.cfg = cfg
+	return &c, nil
+}
+
 // Name implements solver.Scheduler.
 func (t *TTSA) Name() string { return "TSAJS" }
 

@@ -3,25 +3,21 @@ package cran
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/tsajs/tsajs/internal/assign"
-	"github.com/tsajs/tsajs/internal/core"
+	"github.com/tsajs/tsajs/internal/delta"
 	"github.com/tsajs/tsajs/internal/geom"
-	"github.com/tsajs/tsajs/internal/objective"
 	"github.com/tsajs/tsajs/internal/radio"
-	"github.com/tsajs/tsajs/internal/scenario"
+	"github.com/tsajs/tsajs/internal/simrand"
 	"github.com/tsajs/tsajs/internal/solver"
-	"github.com/tsajs/tsajs/internal/units"
 )
 
-// Delta-epoch serving: the coordinator keeps a per-user gain-row cache and
-// the previous epoch's decision, classifies each epoch's batch into dirty
-// (moved beyond the threshold, first seen, or absent from the previous
-// epoch) and clean users, and solves repair epochs with a short anneal
-// scoped to the dirty set starting from the carried incumbent. Full solves
-// happen on a configurable cadence and whenever a drift/dirty-fraction
-// gate trips — see delta.Config.
+// Delta-epoch serving drives internal/delta's engine: each chain keeps a
+// delta.State of per-user gain rows, positions and carried slots, plans
+// every epoch's batch into dirty and clean users, and solves repair epochs
+// with a short anneal scoped to the dirty set starting from the carried
+// incumbent. Full solves happen on a configurable cadence and whenever a
+// drift/dirty-fraction gate trips — see delta.Config.
 //
 // Correctness hinges on two disciplines:
 //
@@ -43,26 +39,10 @@ import (
 //     been solved or skipped, and owns the chain state exclusively until
 //     it advances the cursor.
 
-// deltaUser is one tracked user's cached radio state.
-type deltaUser struct {
-	// lastPos is the user's position in the previous epoch it appeared in
-	// (step displacement is measured against it); refreshPos is where the
-	// cached row was drawn (drift accumulates against it).
-	lastPos    geom.Point
-	refreshPos geom.Point
-	// row is the cached gain block (sites·channels of this chain's
-	// scenario shape).
-	row []float64
-	// lastSeen is the chain epoch the user last appeared in — the
-	// eviction clock.
-	lastSeen uint64
-}
-
 // deltaChain serializes the delta epochs of one scheduling chain and owns
 // its cross-epoch state. The sequencer fields (next, skipped, closed) are
-// guarded by mu; the state fields (users, prev) are owned by whichever
-// worker holds the chain between acquire and advance, so the solve itself
-// runs lock-free.
+// guarded by mu; state is owned by whichever worker holds the chain
+// between acquire and advance, so the solve itself runs lock-free.
 type deltaChain struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -70,23 +50,14 @@ type deltaChain struct {
 	skipped map[uint64]struct{}
 	closed  bool
 
-	// rowLen is sites·channels of this chain's epoch scenarios (channels
-	// only on partitioned coordinators, where an epoch sees one site).
-	rowLen int
-	users  map[string]*deltaUser
-	// prev maps user ID → (server, channel) of the previous solved epoch
-	// of this chain, in scenario-local indices; users absent from it have
-	// no incumbent and are forced dirty.
-	prev map[string][2]int
+	state *delta.State[string]
 }
 
-func newDeltaChain(rowLen int) *deltaChain {
+func newDeltaChain(cfg delta.Config) *deltaChain {
 	ch := &deltaChain{
 		next:    1,
 		skipped: make(map[uint64]struct{}),
-		rowLen:  rowLen,
-		users:   make(map[string]*deltaUser),
-		prev:    make(map[string][2]int),
+		state:   delta.NewState[string](cfg),
 	}
 	ch.cond = sync.NewCond(&ch.mu)
 	return ch
@@ -143,29 +114,6 @@ func (ch *deltaChain) close() {
 	ch.mu.Unlock()
 }
 
-// evictTo drops least-recently-seen users (ties broken by user ID) until
-// at most max remain, bounding the cache on long-lived coordinators.
-func (ch *deltaChain) evictTo(max int) {
-	excess := len(ch.users) - max
-	if excess <= 0 {
-		return
-	}
-	ids := make([]string, 0, len(ch.users))
-	for id := range ch.users {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ch.users[ids[i]], ch.users[ids[j]]
-		if a.lastSeen != b.lastSeen {
-			return a.lastSeen < b.lastSeen
-		}
-		return ids[i] < ids[j]
-	})
-	for _, id := range ids[:excess] {
-		delete(ch.users, id)
-	}
-}
-
 // deltaChainFor resolves the chain owning an epoch's state: the cell's
 // chain on partitioned coordinators, the single network-wide chain
 // otherwise, nil when delta serving is off.
@@ -206,68 +154,50 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// solveDeltaEpoch is solveEpoch's incremental sibling: classify the batch
-// against the chain's cached state, refresh only dirty users' gain rows,
-// and repair from the carried incumbent unless a fallback gate forces a
-// full solve. The caller holds the chain via acquire.
+// solveDeltaEpoch is solveEpoch's incremental sibling: plan the batch
+// against the chain's state, refresh only the rows the plan asks for, and
+// repair from the carried incumbent unless a fallback gate forces a full
+// solve. The caller holds the chain via acquire.
 func (w *solveWorker) solveDeltaEpoch(eb epochBatch, ch *deltaChain) {
 	s := w.srv
-	dcfg := s.deltaCfg
+	p := s.cfg.Params
+	st := ch.state
 	// Sort by user ID like partitioned epochs always do: with per-user
 	// gain streams this makes the decision vector a pure function of the
 	// request set, whatever order the requests raced in.
 	sort.SliceStable(eb.batch, func(i, j int) bool {
 		return eb.batch[i].req.UserID < eb.batch[j].req.UserID
 	})
-	n := len(eb.batch)
-
-	// Classification. A user is dirty when the chain has nothing usable
-	// cached for it: never seen (no row), absent from the previous solved
-	// epoch (no incumbent slot), or displaced beyond the threshold since
-	// its last appearance. Drift — sub-threshold creep accumulated since
-	// the row was drawn — trips a full solve instead.
-	var dirty []int
-	drift := false
+	ids := make([]string, len(eb.batch))
 	for i := range eb.batch {
-		req := &eb.batch[i].req
-		st := ch.users[req.UserID]
-		switch {
-		case st == nil || st.row == nil:
-			dirty = append(dirty, i)
-		case !inPrev(ch.prev, req.UserID):
-			dirty = append(dirty, i)
-		case req.Pos.Dist(st.lastPos) >= dcfg.MoveThresholdKm:
-			dirty = append(dirty, i)
-		}
-		if st != nil && dcfg.DriftKm > 0 && req.Pos.Dist(st.refreshPos) >= dcfg.DriftKm {
-			drift = true
-		}
+		ids[i] = eb.batch[i].req.UserID
 	}
-	// Fallback gates, in the same order the replay path applies them
-	// (delta.Tracker): cadence, all-dirty, dirty-fraction, drift.
-	full := (eb.epoch-1)%uint64(dcfg.FullEvery) == 0 ||
-		len(dirty) == n ||
-		float64(len(dirty)) > dcfg.MaxDirtyFrac*float64(n) ||
-		drift
+	pos := func(i int) geom.Point { return eb.batch[i].req.Pos }
+	// Chain epochs count from 1; the cadence index counts from 0, so chain
+	// epochs 1, 1+FullEvery, ... are the cadence full solves.
+	plan := st.Plan(int(eb.epoch-1), ids, pos, nil)
 
-	sc, reused, err := w.buildDeltaScenario(eb, ch, full, dirty)
+	reused := 0
+	sc, err := w.buildScenario(eb, func(sites []geom.Point) (radio.GainTensor, error) {
+		gain := radio.TensorInto(w.gainBuf, len(ids), len(sites), p.NumChannels)
+		var err error
+		reused, err = st.Gains(plan, ids, gain, p.PathLoss, sites, pos, func(i int) *simrand.Source {
+			return eb.gainRNG.Derive(fnv64(ids[i]))
+		})
+		return gain, err
+	})
 	if err != nil {
 		s.failBatch(eb.batch, CodeInternal, "epoch scenario: "+err.Error())
 		return
 	}
 
 	var res solver.Result
-	if full {
+	if plan.Full {
 		res, err = w.ttsa.Schedule(sc, eb.solveRNG)
 	} else {
 		var incumbent *assign.Assignment
-		incumbent, err = w.carryDeltaIncumbent(eb, ch, sc)
-		if err == nil {
-			if len(dirty) == 0 {
-				res = solver.Finish(w.ttsa.Name(), objective.New(sc), incumbent, 1, time.Now())
-			} else {
-				res, err = w.repairSchedule(sc, eb, incumbent, dirty)
-			}
+		if incumbent, err = st.Incumbent(sc, ids); err == nil {
+			res, err = st.Repair(sc, eb.solveRNG, w.ttsa, incumbent, plan.Dirty)
 		}
 	}
 	if err != nil {
@@ -278,162 +208,8 @@ func (w *solveWorker) solveDeltaEpoch(eb epochBatch, ch *deltaChain) {
 		s.failBatch(eb.batch, CodeInternal, "verification: "+err.Error())
 		return
 	}
-
-	// The solved slots become the next epoch's incumbents; only users of
-	// this epoch carry one (scenario-local indices, like the assignment).
-	prev := make(map[string][2]int, n)
-	for i := range eb.batch {
-		srv, jch := res.Assignment.SlotOf(i)
-		prev[eb.batch[i].req.UserID] = [2]int{srv, jch}
-	}
-	ch.prev = prev
-	if dcfg.MaxTracked > 0 {
-		ch.evictTo(dcfg.MaxTracked)
-	}
-
-	refreshed := n
-	if !full {
-		refreshed = len(dirty)
-	}
-	s.stats.deltaEpoch(full, refreshed, reused)
+	st.Commit(ids, res.Assignment)
+	st.Evict()
+	s.stats.deltaEpoch(plan.Full, plan.Rows(len(ids)), reused)
 	w.finishEpoch(eb, sc, res)
-}
-
-func inPrev(prev map[string][2]int, id string) bool {
-	_, ok := prev[id]
-	return ok
-}
-
-// buildDeltaScenario is buildScenario with the gain tensor assembled from
-// the chain's row cache: refreshed users (all of them on a full epoch,
-// the dirty set otherwise) redraw their block from their per-user stream
-// and update the cache, everyone else copies the cached row. It returns
-// the number of rows served from cache.
-func (w *solveWorker) buildDeltaScenario(eb epochBatch, ch *deltaChain, full bool, dirty []int) (*scenario.Scenario, int, error) {
-	s := w.srv
-	p := s.cfg.Params
-	sites, servers := s.sites, s.servers
-	if eb.cell >= 0 {
-		sites = s.sites[eb.cell : eb.cell+1]
-		servers = s.servers[eb.cell : eb.cell+1]
-	}
-	n := len(eb.batch)
-	if cap(w.users) < n {
-		w.users = make([]scenario.User, n)
-		w.positions = make([]geom.Point, n)
-	}
-	w.users = w.users[:n]
-	w.positions = w.positions[:n]
-	for i, pd := range eb.batch {
-		w.positions[i] = pd.req.Pos
-		w.users[i] = scenario.User{
-			Pos:        pd.req.Pos,
-			Task:       pd.req.Task,
-			FLocalHz:   pd.req.FLocalHz,
-			TxPowerW:   pd.req.TxPowerW,
-			Kappa:      pd.req.Kappa,
-			BetaTime:   pd.req.BetaTime,
-			BetaEnergy: pd.req.BetaEnergy,
-			Lambda:     pd.req.Lambda,
-		}
-	}
-	refresh := make([]bool, n)
-	if full {
-		for i := range refresh {
-			refresh[i] = true
-		}
-	} else {
-		for _, i := range dirty {
-			refresh[i] = true
-		}
-	}
-	gain := radio.TensorInto(w.gainBuf, n, len(sites), p.NumChannels)
-	w.gainBuf = gain.Data()
-	reused := 0
-	for i := range eb.batch {
-		req := &eb.batch[i].req
-		st := ch.users[req.UserID]
-		if refresh[i] {
-			rng := eb.gainRNG.Derive(fnv64(req.UserID))
-			if err := gain.RefreshUser(p.PathLoss, i, req.Pos, sites, rng); err != nil {
-				return nil, 0, err
-			}
-			if st == nil {
-				st = &deltaUser{}
-				ch.users[req.UserID] = st
-			}
-			if st.row == nil {
-				st.row = make([]float64, ch.rowLen)
-			}
-			copy(st.row, gain.UserBlock(i))
-			st.refreshPos = req.Pos
-		} else {
-			copy(gain.UserBlock(i), st.row)
-			reused++
-		}
-		st.lastPos = req.Pos
-		st.lastSeen = eb.epoch
-	}
-	w.sc.Users = w.users
-	w.sc.Servers = servers
-	w.sc.Gain = gain
-	w.sc.Model = p.PathLoss
-	w.sc.NumChannels = p.NumChannels
-	w.sc.BandwidthHz = p.BandwidthHz
-	w.sc.NoiseW = units.DBmToWatts(p.NoiseDBm)
-	w.sc.DownlinkRateBps = p.DownlinkRateBps
-	w.sc.Seed = s.cfg.Seed
-	if err := w.sc.Finalize(); err != nil {
-		return nil, 0, err
-	}
-	return &w.sc, reused, nil
-}
-
-// carryDeltaIncumbent builds the repair incumbent from the chain's
-// previous decision: a user keeps its offload slot when the slot is still
-// valid and unclaimed; everyone else (including every dirty user without
-// a prev entry) starts local. An all-local incumbent is a valid start.
-func (w *solveWorker) carryDeltaIncumbent(eb epochBatch, ch *deltaChain, sc *scenario.Scenario) (*assign.Assignment, error) {
-	a, err := assign.New(sc.U(), sc.S(), sc.N())
-	if err != nil {
-		return nil, err
-	}
-	for i := range eb.batch {
-		slot, ok := ch.prev[eb.batch[i].req.UserID]
-		if !ok {
-			continue
-		}
-		srv, jch := slot[0], slot[1]
-		if srv == assign.Local || srv >= sc.S() || jch < 0 || jch >= sc.N() {
-			continue
-		}
-		if a.Occupant(srv, jch) != assign.Local {
-			continue
-		}
-		if err := a.Offload(i, srv, jch); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
-}
-
-// repairSchedule runs the scoped repair anneal: a fresh solver with the
-// repair temperature and a budget proportional to the dirty-set size,
-// moves targeting only dirty users, starting from the incumbent. The
-// incumbent is never degraded — the repair's best starts at it and only
-// improves, so a repair epoch's utility is structurally bounded below by
-// the carried decision's.
-func (w *solveWorker) repairSchedule(sc *scenario.Scenario, eb epochBatch, incumbent *assign.Assignment, dirty []int) (solver.Result, error) {
-	s := w.srv
-	repairCfg := s.deltaTTSA
-	repairCfg.InitialTemp = s.deltaCfg.RepairTemp
-	repairCfg.MaxEvaluations = s.deltaCfg.RepairBudget(len(dirty), s.deltaTTSA.MaxEvaluations)
-	repair, err := core.New(repairCfg)
-	if err != nil {
-		return solver.Result{}, err
-	}
-	if s.solverObs != nil {
-		repair = repair.WithObserver(s.solverObs)
-	}
-	return repair.ScheduleRepair(sc, eb.solveRNG, incumbent, dirty)
 }

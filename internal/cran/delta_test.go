@@ -375,7 +375,7 @@ func TestDeltaPartitionedServing(t *testing.T) {
 // out-of-order acquires block until earlier epochs advance or are
 // skipped, and close releases every waiter with a shutdown verdict.
 func TestDeltaChainSequencer(t *testing.T) {
-	ch := newDeltaChain(4)
+	ch := newDeltaChain(delta.Config{})
 	order := make(chan uint64, 3)
 	var wg sync.WaitGroup
 	for _, e := range []uint64{3, 2, 1} {
@@ -427,19 +427,21 @@ func TestDeltaChainSequencer(t *testing.T) {
 	}
 }
 
-// TestDeltaChainEviction bounds the cache: least-recently-seen users go
-// first, ties broken by user ID.
-func TestDeltaChainEviction(t *testing.T) {
-	ch := newDeltaChain(2)
-	for i, seen := range []uint64{3, 1, 1, 2} {
-		ch.users[fmt.Sprintf("u%d", i)] = &deltaUser{lastSeen: seen}
-	}
-	ch.evictTo(2)
-	if len(ch.users) != 2 {
-		t.Fatalf("%d users left, want 2", len(ch.users))
-	}
-	if ch.users["u0"] == nil || ch.users["u3"] == nil {
-		t.Errorf("wrong survivors: %v", ch.users)
+// TestDeltaServingCadence pins the chain-epoch to cadence-index mapping:
+// chain epochs count from 1, so with nobody moving, epochs 1, 1+FullEvery,
+// 1+2·FullEvery are the cadence full solves and every other epoch repairs.
+func TestDeltaServingCadence(t *testing.T) {
+	srv := startDeltaServer(t, 1, deltaDiffThreshold)
+	reqs := deltaDiffRequests(1)
+	var fulls uint64
+	for e := uint64(1); e <= 2*deltaDiffFullEvery+1; e++ {
+		runDeltaRound(t, srv, ProtoBinary, reqs)
+		st := srv.Stats()
+		wantFull := (e-1)%deltaDiffFullEvery == 0
+		if gotFull := st.DeltaFullEpochs > fulls; gotFull != wantFull {
+			t.Errorf("chain epoch %d: full=%v, want %v", e, gotFull, wantFull)
+		}
+		fulls = st.DeltaFullEpochs
 	}
 }
 

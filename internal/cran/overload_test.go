@@ -278,8 +278,16 @@ func TestBrownoutDegradesUnderPressure(t *testing.T) {
 	cfg.SolverChaos = &faults.SolverChaos{Seed: 3, DelayProb: 1, Delay: 40 * time.Millisecond}
 	srv := startServer(t, cfg)
 
-	var ps []pending
-	for wave := 0; wave < 5; wave++ {
+	// Wave 0 goes first and the rest only once the worker has taken its
+	// epoch: the depth-4 queue then holds epochs 2-5 however slowly the
+	// worker was scheduled, and pressure shows up as degraded tiers rather
+	// than a queue-full rejection of epoch 5.
+	ps := submitWaveAsync(t, srv, waveRequests(0, 2))
+	waitUntil(t, 10*time.Second, "the worker to take epoch 1", func() bool {
+		st := srv.Stats()
+		return st.QueueDepth == 0 && (st.InflightSolves > 0 || st.Epochs > 0)
+	})
+	for wave := 1; wave < 5; wave++ {
 		ps = append(ps, submitWaveAsync(t, srv, waveRequests(wave, 2))...)
 	}
 	resps := collectWave(t, ps)

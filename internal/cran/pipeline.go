@@ -240,7 +240,10 @@ func (w *solveWorker) solveEpoch(eb epochBatch) {
 			return eb.batch[i].req.UserID < eb.batch[j].req.UserID
 		})
 	}
-	sc, err := w.buildScenario(eb)
+	p := s.cfg.Params
+	sc, err := w.buildScenario(eb, func(sites []geom.Point) (radio.GainTensor, error) {
+		return radio.NewGainTensorInto(w.gainBuf, p.PathLoss, w.positions, sites, p.NumChannels, eb.gainRNG)
+	})
 	if err != nil {
 		s.skipPlan(eb)
 		s.failBatch(eb.batch, CodeInternal, "epoch scenario: "+err.Error())
@@ -327,10 +330,12 @@ func (w *solveWorker) schedule(eb epochBatch, sc *scenario.Scenario) (solver.Res
 }
 
 // buildScenario assembles a one-epoch scenario from the batch into the
-// worker's scratch buffers. Channel gains come from the coordinator's
-// calibrated path-loss model — the simulator stand-in for measured CSI —
-// drawn from the epoch's pre-derived gain stream.
-func (w *solveWorker) buildScenario(eb epochBatch) (*scenario.Scenario, error) {
+// worker's scratch buffers, taking the channel gains from gains, which
+// sees the epoch's sites and the loaded positions (w.positions). The full
+// path draws the whole tensor from the coordinator's calibrated path-loss
+// model (the simulator stand-in for measured CSI) on the epoch's gain
+// stream; the delta path assembles it from the chain's row cache.
+func (w *solveWorker) buildScenario(eb epochBatch, gains func(sites []geom.Point) (radio.GainTensor, error)) (*scenario.Scenario, error) {
 	s := w.srv
 	p := s.cfg.Params
 	sites, servers := s.sites, s.servers
@@ -361,7 +366,7 @@ func (w *solveWorker) buildScenario(eb epochBatch) (*scenario.Scenario, error) {
 			Lambda:     pd.req.Lambda,
 		}
 	}
-	gain, err := radio.NewGainTensorInto(w.gainBuf, p.PathLoss, w.positions, sites, p.NumChannels, eb.gainRNG)
+	gain, err := gains(sites)
 	if err != nil {
 		return nil, err
 	}

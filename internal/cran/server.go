@@ -272,15 +272,9 @@ type Server struct {
 	cellEpochs []uint64
 	cellRNG    []*simrand.Source
 
-	// Delta-epoch serving state (nil/zero when Delta is off): one chain
-	// per cell on partitioned coordinators, one network-wide chain
-	// otherwise; the defaulted delta config; the base solver config repair
-	// solvers derive their budget and temperature from; and the shared
-	// solver observer repair solvers report into.
+	// Delta-epoch serving state (nil when Delta is off): one chain per
+	// cell on partitioned coordinators, one network-wide chain otherwise.
 	deltaChains []*deltaChain
-	deltaCfg    delta.Config
-	deltaTTSA   core.Config
-	solverObs   *obs.SolverMetrics
 
 	// Overload-resilience state: degraded-tier solvers, the deterministic
 	// brownout controller (owned by the batch collector), and the EWMA
@@ -379,7 +373,6 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		s.servers[i] = scenario.Server{Pos: pos, FHz: cfg.Params.ServerFreqHz}
 	}
 	s.brownout = newBrownoutController(bo, cfg.QueueDepth)
-	s.solverObs = solverObs
 	if po := cfg.Portfolio; po != nil {
 		// Chains run sequentially on the owning solver worker: the server's
 		// Workers already parallelize across epochs, so parallel chains per
@@ -411,20 +404,15 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		}
 	}
 	if cfg.Delta != nil {
-		s.deltaCfg = *cfg.Delta
-		s.deltaCfg = s.deltaCfg.WithDefaults()
-		s.deltaTTSA = ttsaCfg
+		// Partitioned epochs see a one-site scenario, so each cell is its
+		// own chain with single-site rows.
+		chains := 1
 		if cfg.Partition != nil {
-			// Partitioned epochs see a one-site scenario, so each cell's
-			// chain caches single-site rows.
-			s.deltaChains = make([]*deltaChain, len(s.sites))
-			for c := range s.deltaChains {
-				s.deltaChains[c] = newDeltaChain(cfg.Params.NumChannels)
-			}
-		} else {
-			s.deltaChains = []*deltaChain{
-				newDeltaChain(cfg.Params.NumServers * cfg.Params.NumChannels),
-			}
+			chains = len(s.sites)
+		}
+		s.deltaChains = make([]*deltaChain, chains)
+		for c := range s.deltaChains {
+			s.deltaChains[c] = newDeltaChain(*cfg.Delta)
 		}
 	}
 	if pc := cfg.Partition; pc != nil {

@@ -870,6 +870,12 @@ func TestWireStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The server counts a response frame only after its Write returns, so
+	// the client can hold the response before the counter moves.
+	waitUntil(t, 5*time.Second, "both codecs' response frames to be counted", func() bool {
+		st := srv.Stats()
+		return st.FramesJSON >= 2 && st.FramesBinary >= 2
+	})
 	stats := srv.Stats()
 	if stats.BytesRead == 0 || stats.BytesWritten == 0 {
 		t.Errorf("wire byte counters empty: read=%d written=%d", stats.BytesRead, stats.BytesWritten)
