@@ -20,6 +20,14 @@ race:
 chaos-smoke:
 	go test -run='^TestHarness' -count=1 -v ./internal/chaos
 
+# Serving-benchmark module check: servebench is its own Go module, which
+# the root `go test ./...` skips, so an internal/ API change that breaks
+# the benchmark would otherwise pass. Vets and tests it against this tree.
+.PHONY: servebench-check
+servebench-check:
+	go -C servebench vet ./...
+	go -C servebench test ./...
+
 # Fuzz smoke: every native fuzz target runs its checked-in corpus
 # (testdata/fuzz/ + f.Add seeds) plus a few seconds of fresh exploration.
 .PHONY: fuzz-smoke

@@ -132,3 +132,36 @@ func TestObserverStatsConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestWithConfigKeepsObserver: a reconfigured copy runs the new config,
+// still reports to the original observer, and rejects an invalid config.
+func TestWithConfigKeepsObserver(t *testing.T) {
+	ttsa, err := core.New(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recorder{}
+	cfg := core.DefaultConfig()
+	cfg.MaxEvaluations = 300
+	short, err := ttsa.WithObserver(rec).WithConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if short.Config() != cfg {
+		t.Fatalf("config %+v, want %+v", short.Config(), cfg)
+	}
+	res, err := short.Schedule(tinyScenario(t, 1), simrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluations > cfg.MaxEvaluations {
+		t.Errorf("spent %d evaluations, cap %d", res.Evaluations, cfg.MaxEvaluations)
+	}
+	if len(rec.stats) != 1 {
+		t.Errorf("observer saw %d solves, want 1", len(rec.stats))
+	}
+	cfg.MinTemp = 0
+	if _, err := ttsa.WithConfig(cfg); err == nil {
+		t.Error("invalid config accepted")
+	}
+}
