@@ -41,7 +41,6 @@ func run(args []string, stdout io.Writer) error {
 		seed     = fs.Uint64("seed", 1, "base random seed")
 		workers  = fs.Int("workers", 0, "parallel workers (0 = NumCPU)")
 		chains   = fs.Int("chains", 1, "solve each TSAJS trial as a K-chain multi-restart portfolio (deterministic per seed)")
-		shared   = fs.Bool("shared-incumbent", false, "share the best utility across portfolio chains (non-deterministic)")
 		quick    = fs.Bool("quick", false, "reduced sweeps and search budgets (smoke mode)")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		outDir   = fs.String("o", "", "write each panel to a file in this directory instead of stdout")
@@ -91,12 +90,11 @@ func run(args []string, stdout io.Writer) error {
 		figures = []string{*figure}
 	}
 	opts := tsajs.ExperimentOptions{
-		Trials:          *trials,
-		BaseSeed:        *seed,
-		Workers:         *workers,
-		Quick:           *quick,
-		Chains:          *chains,
-		SharedIncumbent: *shared,
+		Trials:   *trials,
+		BaseSeed: *seed,
+		Workers:  *workers,
+		Quick:    *quick,
+		Chains:   *chains,
 	}
 
 	for _, fig := range figures {

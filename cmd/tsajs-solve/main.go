@@ -36,7 +36,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		seed    = fs.Uint64("seed", 1, "random seed for stochastic schedulers")
 		chains  = fs.Int("chains", 1, "run the tsajs scheme as a K-chain multi-restart portfolio (deterministic per seed)")
 		workers = fs.Int("workers", 0, "portfolio worker cap (0 = GOMAXPROCS; affects speed only, never the result)")
-		shared  = fs.Bool("shared-incumbent", false, "share the best utility across portfolio chains (faster convergence, non-deterministic)")
 		pfMode  = fs.String("portfolio", "fixed", "portfolio budget allocation: fixed (round-robin, the reproducibility default) or adaptive (bandit selector)")
 		members = fs.String("members", "", "comma-separated portfolio member roster (ttsa, ttsa-fast, ttsa-wide, attract, hjtora, greedy, cheap); empty = homogeneous ttsa, or the diverse default under -portfolio adaptive")
 		detail  = fs.Bool("detail", false, "emit the full per-user report as JSON")
@@ -115,11 +114,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return fmt.Errorf("-trace traces a single chain; it cannot be combined with -chains %d", *chains)
 		}
 		sched, err = tsajs.NewPortfolio(tsajs.DefaultConfig(), tsajs.PortfolioOptions{
-			Chains:          *chains,
-			Workers:         *workers,
-			SharedIncumbent: *shared,
-			Members:         roster,
-			Adaptive:        adaptive,
+			Chains:   *chains,
+			Workers:  *workers,
+			Members:  roster,
+			Adaptive: adaptive,
 		})
 		if err != nil {
 			return err

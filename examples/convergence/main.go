@@ -82,10 +82,10 @@ func run() error {
 		100*float64(plainRes.Evaluations-res.Evaluations)/float64(plainRes.Evaluations),
 		res.Utility-plainRes.Utility)
 
-	// Multi-start: six budget-capped chains in parallel.
+	// Multi-start: a portfolio of six budget-capped chains in parallel.
 	msCfg := tsajs.DefaultConfig()
 	msCfg.MaxEvaluations = res.Evaluations / 6
-	ms, err := tsajs.NewMultiStart(msCfg, 6, 0)
+	ms, err := tsajs.NewPortfolio(msCfg, tsajs.PortfolioOptions{Chains: 6})
 	if err != nil {
 		return err
 	}

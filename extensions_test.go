@@ -171,7 +171,7 @@ func TestTTSAPublicTraceAndMultiStart(t *testing.T) {
 	if warm.Utility < res.Utility-1e-9 {
 		t.Errorf("warm start %.6f regressed below its seed %.6f", warm.Utility, res.Utility)
 	}
-	ms, err := tsajs.NewMultiStart(cfg, 3, 2)
+	ms, err := tsajs.NewPortfolio(cfg, tsajs.PortfolioOptions{Chains: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,17 +8,6 @@ import (
 	"github.com/tsajs/tsajs/internal/solver"
 )
 
-// Incumbent shares the best utility across concurrently running chains of a
-// portfolio solve. Implementations must be safe for concurrent use; the
-// chain loop calls Offer/Best once per temperature stage, never per move.
-type Incumbent interface {
-	// Best returns the best utility any chain has offered so far
-	// (-Inf before the first offer).
-	Best() float64
-	// Offer proposes a chain's current best utility as the shared best.
-	Offer(utility float64)
-}
-
 // ChainOptions bundles the optional machinery a portfolio run threads into
 // one chain. The zero value reproduces Schedule exactly.
 type ChainOptions struct {
@@ -30,12 +19,6 @@ type ChainOptions struct {
 	// Initial warm-starts the chain from a feasible decision instead of a
 	// random one; it is cloned, never mutated.
 	Initial *assign.Assignment
-	// Incumbent, when non-nil, lets the chain read the best utility of its
-	// peers at every stage boundary: a chain whose own best lags the shared
-	// incumbent fires the paper's threshold trigger early and finishes its
-	// cooling with α₂. This couples chains to the scheduler's timing and is
-	// therefore non-deterministic; leave nil for the canonical mode.
-	Incumbent Incumbent
 	// Targets, when non-empty, restricts every move's target user to this
 	// set — the delta-epoch repair anneal's scoping. Swap partners and
 	// displaced occupants stay unrestricted. Nil reproduces the
@@ -52,9 +35,9 @@ type ChainOptions struct {
 }
 
 // ScheduleChain runs one Algorithm 1 chain with the given portfolio
-// machinery. With a nil Incumbent and nil Config the result is
-// bit-identical to Schedule (nil Initial) or ScheduleFrom (non-nil
-// Initial) on the same scenario and rng state.
+// machinery. With a nil Config the result is bit-identical to Schedule
+// (nil Initial) or ScheduleFrom (non-nil Initial) on the same scenario and
+// rng state.
 func (t *TTSA) ScheduleChain(sc *scenario.Scenario, rng *simrand.Source, opts ChainOptions) (solver.Result, error) {
 	if opts.Config != nil {
 		if err := opts.Config.Validate(); err != nil {

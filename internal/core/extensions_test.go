@@ -5,7 +5,6 @@ import (
 
 	"github.com/tsajs/tsajs/internal/core"
 	"github.com/tsajs/tsajs/internal/simrand"
-	"github.com/tsajs/tsajs/internal/solver"
 )
 
 func TestScheduleTraceMatchesSchedule(t *testing.T) {
@@ -95,74 +94,5 @@ func TestTraceRecordsAcceleratedCooling(t *testing.T) {
 		if pt.Accelerated {
 			t.Fatal("plain SA recorded an accelerated stage")
 		}
-	}
-}
-
-func TestMultiStartValidation(t *testing.T) {
-	if _, err := core.NewMultiStart(core.DefaultConfig(), 0, 0); err == nil {
-		t.Error("zero starts accepted")
-	}
-	if _, err := core.NewMultiStart(core.DefaultConfig(), 4, -1); err == nil {
-		t.Error("negative parallelism accepted")
-	}
-	bad := core.DefaultConfig()
-	bad.CoolNormal = 0
-	if _, err := core.NewMultiStart(bad, 4, 0); err == nil {
-		t.Error("invalid base config accepted")
-	}
-}
-
-func TestMultiStartBeatsOrTiesSingleChain(t *testing.T) {
-	sc := tinyScenario(t, 37)
-	cfg := core.DefaultConfig()
-	cfg.MaxEvaluations = 2000 // starve single chains so restarts matter
-	single, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := core.NewMultiStart(cfg, 6, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.Name() != "TSAJS-MS" || multi.Starts() != 6 {
-		t.Errorf("metadata: %q / %d", multi.Name(), multi.Starts())
-	}
-	s, err := single.Schedule(sc, simrand.New(1).Derive(0xc4a1+0)) // chain 0's stream
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := multi.Schedule(sc, simrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Utility < s.Utility-1e-9 {
-		t.Errorf("multi-start %.6f below its own first chain %.6f", m.Utility, s.Utility)
-	}
-	if err := solver.Verify(sc, m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Evaluations < s.Evaluations {
-		t.Errorf("multi-start evaluations %d below a single chain's %d", m.Evaluations, s.Evaluations)
-	}
-}
-
-func TestMultiStartDeterministic(t *testing.T) {
-	sc := tinyScenario(t, 41)
-	cfg := core.DefaultConfig()
-	cfg.MaxEvaluations = 1500
-	multi, err := core.NewMultiStart(cfg, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := multi.Schedule(sc, simrand.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := multi.Schedule(sc, simrand.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Utility != b.Utility || !a.Assignment.Equal(b.Assignment) {
-		t.Error("multi-start is not deterministic in the seed")
 	}
 }

@@ -111,8 +111,7 @@ type ServerConfig struct {
 	// them rather than fighting the ladder). Chains run sequentially on the
 	// owning solver worker (Workers here already parallelizes across
 	// epochs). Incompatible with Delta (a repair anneal manages its own
-	// incumbent) and with SharedIncumbent (nondeterministic serving is not
-	// supported).
+	// incumbent).
 	Portfolio *solver.PortfolioOptions
 	// Delta, when non-nil, enables delta-epoch incremental serving: the
 	// coordinator caches each user's gain rows and previous decision,
@@ -209,9 +208,6 @@ func (c ServerConfig) Validate() error {
 	if cc.Portfolio != nil {
 		if err := cc.Portfolio.Validate(); err != nil {
 			return err
-		}
-		if cc.Portfolio.SharedIncumbent {
-			return fmt.Errorf("cran: the portfolio's shared-incumbent mode is nondeterministic and not supported on the serving path")
 		}
 		if cc.Delta != nil {
 			return fmt.Errorf("cran: portfolio serving cannot be combined with delta-epoch serving")

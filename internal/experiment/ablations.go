@@ -5,8 +5,10 @@ import (
 
 	"github.com/tsajs/tsajs/internal/baseline"
 	"github.com/tsajs/tsajs/internal/core"
+	"github.com/tsajs/tsajs/internal/portfolio"
 	"github.com/tsajs/tsajs/internal/report"
 	"github.com/tsajs/tsajs/internal/scenario"
+	"github.com/tsajs/tsajs/internal/solver"
 	"github.com/tsajs/tsajs/internal/units"
 )
 
@@ -141,8 +143,8 @@ func AblationEviction(opts Options) ([]report.Table, error) {
 	return []report.Table{t}, nil
 }
 
-// AblationMultiStart compares one full-budget chain against four
-// quarter-budget parallel chains (same total evaluations), plus the
+// AblationMultiStart compares one full-budget chain against a portfolio of
+// four quarter-budget chains (same total evaluations), plus the
 // LocalSearch baseline at the full budget for scale.
 func AblationMultiStart(opts Options) ([]report.Table, error) {
 	const budget = 12000
@@ -152,7 +154,7 @@ func AblationMultiStart(opts Options) ([]report.Table, error) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.MaxEvaluations = budget / 4
-	ms, err := core.NewMultiStart(cfg, 4, 0)
+	ms, err := portfolio.New(cfg, solver.PortfolioOptions{Chains: 4})
 	if err != nil {
 		return nil, err
 	}

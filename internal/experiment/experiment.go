@@ -37,9 +37,6 @@ type Options struct {
 	// portfolio (internal/portfolio) instead of a single chain; 0 and 1
 	// keep the sequential solver. Baseline schemes are unaffected.
 	Chains int
-	// SharedIncumbent enables cross-chain incumbent sharing inside the
-	// portfolio (non-deterministic; see solver.PortfolioOptions).
-	SharedIncumbent bool
 }
 
 func (o Options) withDefaults() Options {

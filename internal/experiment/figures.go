@@ -50,10 +50,7 @@ func ttsa(name string, innerL int, opts Options) (Scheme, error) {
 		cfg.MaxEvaluations = 2500
 	}
 	if opts.Chains > 1 {
-		pf, err := portfolio.New(cfg, solver.PortfolioOptions{
-			Chains:          opts.Chains,
-			SharedIncumbent: opts.SharedIncumbent,
-		})
+		pf, err := portfolio.New(cfg, solver.PortfolioOptions{Chains: opts.Chains})
 		if err != nil {
 			return Scheme{}, err
 		}

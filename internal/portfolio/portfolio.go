@@ -4,9 +4,8 @@
 //
 // Determinism is the package's contract. Every chain derives its random
 // stream solely from the caller's rng seed and its own chain index
-// (ChainStream), chains never share mutable state in the default mode, and
-// the reduction walks results in chain-index order with ties broken by the
-// lower index. The merged assignment and utility are therefore bit-identical
+// (ChainStream), chains never share mutable state, and the reduction walks
+// results in chain-index order with ties broken by the lower index. The merged assignment and utility are therefore bit-identical
 // regardless of worker count, core count, goroutine scheduling, or the race
 // detector — K chains on one worker and K chains on eight workers return
 // the same answer.
@@ -19,11 +18,6 @@
 // (selector.go). The default configuration (no members, no adaptive) is a
 // single-member "ttsa" roster whose all-zero plan reproduces the historical
 // K-identical-chain portfolio bit for bit.
-//
-// The optional shared-incumbent mode (Options.SharedIncumbent) trades
-// determinism for convergence speed: chains publish their best utility and
-// lagging chains fire the paper's threshold re-anneal early. It is off by
-// default so the deterministic mode stays canonical.
 package portfolio
 
 import (
@@ -42,7 +36,7 @@ import (
 
 // chainLabel offsets the per-chain Derive labels so portfolio streams never
 // collide with the other fixed labels in the codebase (experiment trials,
-// dynamic subsystems, MultiStart).
+// dynamic subsystems).
 const chainLabel = 0x706f7274 // "port"
 
 // ChainStream returns the random stream of chain i of a portfolio solve
@@ -229,11 +223,6 @@ func (p *Portfolio) SolvePlan(sc *scenario.Scenario, rng *simrand.Source, initia
 		streams[i] = ChainStream(rng, i)
 	}
 
-	var inc core.Incumbent
-	if p.opts.SharedIncumbent {
-		inc = newSharedIncumbent()
-	}
-
 	results := make([]solver.Result, k)
 	errs := make([]error, k)
 	elapsedMs := make([]float64, k)
@@ -258,7 +247,7 @@ func (p *Portfolio) SolvePlan(sc *scenario.Scenario, rng *simrand.Source, initia
 					return
 				}
 				t0 := time.Now()
-				results[i], errs[i] = p.solveSlot(sc, streams[i], eval, initial, inc, p.members[plan[i]])
+				results[i], errs[i] = p.solveSlot(sc, streams[i], eval, initial, p.members[plan[i]])
 				elapsedMs[i] = float64(time.Since(t0)) / float64(time.Millisecond)
 			}
 		}()
@@ -320,7 +309,7 @@ func (p *Portfolio) SolvePlan(sc *scenario.Scenario, rng *simrand.Source, initia
 // budget; baseline members run their zero-anneal schedulers from their own
 // deterministic cold start, with initial's server masks re-applied to the
 // result so a masked server can never reach the reduction.
-func (p *Portfolio) solveSlot(sc *scenario.Scenario, stream *simrand.Source, eval *objective.Evaluator, initial *assign.Assignment, inc core.Incumbent, m member) (solver.Result, error) {
+func (p *Portfolio) solveSlot(sc *scenario.Scenario, stream *simrand.Source, eval *objective.Evaluator, initial *assign.Assignment, m member) (solver.Result, error) {
 	switch m.kind {
 	case kindAttract:
 		return attractSolve(sc, stream, eval, initial, p.baseCfg.MaxEvaluations)
@@ -339,7 +328,6 @@ func (p *Portfolio) solveSlot(sc *scenario.Scenario, stream *simrand.Source, eva
 		return p.base.ScheduleChain(sc, stream, core.ChainOptions{
 			Evaluator: eval,
 			Initial:   initial,
-			Incumbent: inc,
 			Config:    m.cfg,
 		})
 	}

@@ -172,46 +172,3 @@ func TestMaskedServersNeverInMergedBest(t *testing.T) {
 		t.Error("masked solve offloaded nobody; surviving servers unused")
 	}
 }
-
-// TestSharedIncumbentStillValid exercises the non-deterministic mode: the
-// result must stay feasible and no worse than all-local, and the shared
-// state must survive the race detector (this test is most valuable under
-// `go test -race`).
-func TestSharedIncumbentStillValid(t *testing.T) {
-	sc := testScenario(t, 8)
-	pf, err := New(testConfig(), solver.PortfolioOptions{
-		Chains:          6,
-		Workers:         3,
-		SharedIncumbent: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pf.Schedule(sc, simrand.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := solver.Verify(sc, res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Utility < 0 {
-		t.Errorf("shared-incumbent solve returned %g, worse than all-local", res.Utility)
-	}
-}
-
-func TestSharedIncumbentReduction(t *testing.T) {
-	inc := newSharedIncumbent()
-	if best := inc.Best(); !math.IsInf(best, -1) {
-		t.Fatalf("fresh incumbent best = %g, want -Inf", best)
-	}
-	inc.Offer(-2.5)
-	inc.Offer(math.NaN()) // must be ignored
-	inc.Offer(-3.0)       // lower: must not regress
-	if best := inc.Best(); best != -2.5 {
-		t.Fatalf("incumbent best = %g, want -2.5", best)
-	}
-	inc.Offer(1.25)
-	if best := inc.Best(); best != 1.25 {
-		t.Fatalf("incumbent best = %g, want 1.25", best)
-	}
-}

@@ -21,11 +21,6 @@ type PortfolioOptions struct {
 	// Workers bounds concurrently running chains; 0 means GOMAXPROCS. The
 	// worker count affects wall-clock time only, never the merged result.
 	Workers int `json:"workers,omitempty"`
-	// SharedIncumbent publishes each chain's best utility to its peers so
-	// lagging chains trigger the threshold re-anneal early. This couples
-	// chains to scheduler timing and sacrifices run-to-run determinism;
-	// it defaults off so the deterministic mode stays canonical.
-	SharedIncumbent bool `json:"sharedIncumbent,omitempty"`
 	// Members names the heterogeneous member roster chain slots draw from
 	// (the portfolio package defines the vocabulary: "ttsa", "ttsa-fast",
 	// "ttsa-wide", "attract", "hjtora", "greedy", "cheap"). Slot i runs

@@ -25,8 +25,10 @@ import (
 	"github.com/tsajs/tsajs/internal/baseline"
 	"github.com/tsajs/tsajs/internal/core"
 	"github.com/tsajs/tsajs/internal/experiment"
+	"github.com/tsajs/tsajs/internal/portfolio"
 	"github.com/tsajs/tsajs/internal/report"
 	"github.com/tsajs/tsajs/internal/scenario"
+	"github.com/tsajs/tsajs/internal/solver"
 	"github.com/tsajs/tsajs/internal/units"
 )
 
@@ -203,11 +205,11 @@ func schemeFor(name string, innerL int) (experiment.Scheme, error) {
 	case "tsajs-ms":
 		cfg := core.DefaultConfig()
 		cfg.InnerIterations = innerL
-		ms, err := core.NewMultiStart(cfg, 4, 0)
+		pf, err := portfolio.New(cfg, solver.PortfolioOptions{Chains: 4})
 		if err != nil {
 			return experiment.Scheme{}, err
 		}
-		return experiment.Scheme{Name: ms.Name(), Scheduler: ms}, nil
+		return experiment.Scheme{Name: "TSAJS-MS", Scheduler: pf}, nil
 	case "exhaustive":
 		return experiment.Scheme{Name: "Exhaustive", Scheduler: &baseline.Exhaustive{}}, nil
 	case "hjtora":

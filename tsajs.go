@@ -69,17 +69,13 @@ type (
 	TraceSummary = analysis.Summary
 	// TraceComparison reports relative convergence speed of two traces.
 	TraceComparison = analysis.Comparison
-	// MultiStart runs independent TTSA chains concurrently and keeps the
-	// best result.
-	MultiStart = core.MultiStart
 	// Portfolio is the parallel multi-restart TTSA solver: K seed-split
 	// chains over a bounded worker pool with a deterministic chain-index
 	// reduction, so the merged result is bit-identical regardless of
 	// worker count or goroutine scheduling.
 	Portfolio = portfolio.Portfolio
 	// PortfolioOptions configures a Portfolio (chain count, worker cap,
-	// heterogeneous member roster, adaptive bandit selection, optional
-	// non-deterministic shared-incumbent mode).
+	// heterogeneous member roster, adaptive bandit selection).
 	PortfolioOptions = solver.PortfolioOptions
 	// PortfolioMemberOutcome is one chain slot's outcome in a portfolio
 	// solve: the member that ran it, the utility it reached, and whether it
@@ -227,19 +223,11 @@ func NewSchedulerWith(cfg Config) (Scheduler, error) { return core.New(cfg) }
 // addition to the Scheduler interface.
 func NewTTSA(cfg Config) (*TTSA, error) { return core.New(cfg) }
 
-// NewMultiStart returns a scheduler that runs `starts` independent TTSA
-// chains (up to `parallelism` concurrently; 0 means GOMAXPROCS) and keeps
-// the best result.
-func NewMultiStart(cfg Config, starts, parallelism int) (*MultiStart, error) {
-	return core.NewMultiStart(cfg, starts, parallelism)
-}
-
 // NewPortfolio returns the parallel multi-restart TTSA solver: opts.Chains
 // independent chains, seed-split from the Schedule rng, merged by a
 // deterministic reduction (chain-index order, ties to the lower index).
 // The same seed always yields the same assignment and utility, bit for
-// bit, whatever opts.Workers is — unless opts.SharedIncumbent trades that
-// determinism for faster convergence.
+// bit, whatever opts.Workers is.
 func NewPortfolio(cfg Config, opts PortfolioOptions) (*Portfolio, error) {
 	return portfolio.New(cfg, opts)
 }
