@@ -60,8 +60,9 @@ type ResilienceConfig struct {
 	// BreakerThreshold opens the circuit after that many consecutive
 	// transport failures; while open, calls skip the network entirely
 	// until BreakerCooldown elapses, then a single probe is allowed
-	// through. Zero defaults to 5 failures / 2s cooldown; a negative
-	// threshold disables the breaker.
+	// through and every other call keeps failing fast until it settles.
+	// Zero defaults to 5 failures / 2s cooldown; a negative threshold
+	// disables the breaker.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// DegradeLocal turns transport failure into graceful degradation:
@@ -146,12 +147,14 @@ func (rc ResilienceConfig) Validate() error {
 
 // Client is a mobile-device-side connection to a coordinator.
 //
-// With the default JSON protocol, a Client serializes its own requests
-// (one in flight per connection, matching the server's in-order response
-// guarantee). With ProtoBinary, concurrent Offload calls multiplex over
-// one connection — each call gets its own request ID and a demultiplexing
-// goroutine routes responses back by ID — so one Client can hold many
-// requests in flight. Either way a Client is safe for concurrent use.
+// One retry, breaker and degradation loop (Offload) runs over either
+// codec's exchange. With the default JSON protocol, exchanges are
+// serialized (one in flight per connection, matching the server's in-order
+// response guarantee). With ProtoBinary, concurrent Offload calls
+// multiplex over one connection — each call gets its own request ID and a
+// demultiplexing goroutine routes responses back by ID — so one Client can
+// hold many requests in flight. Either way a Client is safe for concurrent
+// use.
 //
 // The client reconnects automatically: a transport failure drops the
 // connection and the next attempt redials, so a coordinator restart is
@@ -160,12 +163,17 @@ type Client struct {
 	addr string
 	rc   ResilienceConfig
 
-	mu     sync.Mutex // serializes JSON exchanges; guards the fields below
-	rd     *bufio.Reader
-	enc    *json.Encoder
-	jitter *simrand.Source
-	fails  int // consecutive transport failures (breaker input)
-	openAt time.Time
+	// mu guards the breaker and jitter state. It is held only briefly,
+	// never across a network wait or a backoff sleep.
+	mu      sync.Mutex
+	jitter  *simrand.Source
+	fails   int // consecutive transport failures (breaker input)
+	openAt  time.Time
+	probing bool // a half-open probe is in flight
+
+	xmu sync.Mutex // serializes JSON exchanges; guards rd and enc
+	rd  *bufio.Reader
+	enc *json.Encoder
 
 	connMu sync.Mutex // guards conn and mux against concurrent Close
 	conn   net.Conn
@@ -249,9 +257,9 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	c.mu.Lock()
+	c.xmu.Lock()
 	err = c.ensureConn(ctx)
-	c.mu.Unlock()
+	c.xmu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -301,12 +309,6 @@ func (c *Client) isClosed() bool {
 // with the device's Eq. 1 cost and Degraded=true, with a nil error.
 func (c *Client) Offload(ctx context.Context, req OffloadRequest) (OffloadResponse, error) {
 	req.Version = ProtocolVersion
-	if c.binary() {
-		return c.offloadMux(ctx, req)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
 	var lastErr error
 	for attempt := 0; attempt < c.rc.MaxAttempts; attempt++ {
 		if c.isClosed() {
@@ -319,12 +321,24 @@ func (c *Client) Offload(ctx context.Context, req OffloadRequest) (OffloadRespon
 			}
 			break
 		}
-		if c.breakerOpen() {
+		c.mu.Lock()
+		admit, probe := c.breakerAdmit()
+		var delay time.Duration
+		if admit && attempt > 0 {
+			delay = c.backoffDelay(attempt)
+		}
+		c.mu.Unlock()
+		if !admit {
 			lastErr = ErrCircuitOpen
 			c.countMetric(func(m *obs.ClientMetrics) { m.BreakerFastFails.Inc() })
 			break
 		}
-		if attempt > 0 && !c.sleepBackoff(ctx, attempt) {
+		if attempt > 0 && !c.sleepDelay(ctx, delay) {
+			if probe {
+				c.mu.Lock()
+				c.probing = false
+				c.mu.Unlock()
+			}
 			break // context expired or client closed during backoff
 		}
 		c.countMetric(func(m *obs.ClientMetrics) {
@@ -333,9 +347,9 @@ func (c *Client) Offload(ctx context.Context, req OffloadRequest) (OffloadRespon
 				m.Retries.Inc()
 			}
 		})
-		resp, err := c.exchange(ctx, req)
+		resp, err := c.exchange(ctx, &req)
+		c.settle(probe, err)
 		if err == nil {
-			c.fails = 0
 			if werr := resp.Err(); werr != nil {
 				if IsBackpressureCode(resp.Code) {
 					// Backpressure (queue full, admission, expiry) is the
@@ -351,8 +365,6 @@ func (c *Client) Offload(ctx context.Context, req OffloadRequest) (OffloadRespon
 			return resp, nil
 		}
 		lastErr = err
-		c.recordFailure()
-		c.dropConn()
 	}
 
 	if c.rc.DegradeLocal && !c.isClosed() {
@@ -371,21 +383,14 @@ func (c *Client) Offload(ctx context.Context, req OffloadRequest) (OffloadRespon
 // single attempt and never degrades: its whole point is to observe the
 // coordinator, so a transport failure is the answer.
 func (c *Client) Health(ctx context.Context) (Health, error) {
-	if c.binary() {
-		return c.healthMux(ctx)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.isClosed() {
 		return Health{}, ErrClientClosed
 	}
-	resp, err := c.exchange(ctx, OffloadRequest{Version: ProtocolVersion, Type: TypeHealth})
+	resp, err := c.exchange(ctx, &OffloadRequest{Version: ProtocolVersion, Type: TypeHealth})
+	c.settle(false, err)
 	if err != nil {
-		c.recordFailure()
-		c.dropConn()
 		return Health{}, err
 	}
-	c.fails = 0
 	if resp.Error != "" {
 		return Health{}, fmt.Errorf("cran: coordinator rejected health probe: %s", resp.Error)
 	}
@@ -393,6 +398,14 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 		return Health{}, errors.New("cran: coordinator returned no health payload")
 	}
 	return *resp.Health, nil
+}
+
+// exchange performs one request/response round over the client's codec.
+func (c *Client) exchange(ctx context.Context, req *OffloadRequest) (OffloadResponse, error) {
+	if c.binary() {
+		return c.exchangeMux(ctx, req)
+	}
+	return c.exchangeJSON(ctx, *req)
 }
 
 // dialConn performs one transport dial with the configured dialer, bounded
@@ -414,7 +427,7 @@ func (c *Client) dialConn(ctx context.Context) (net.Conn, error) {
 	return conn, nil
 }
 
-// ensureConn dials when no connection is live. Callers hold c.mu.
+// ensureConn dials when no connection is live. Callers hold c.xmu.
 func (c *Client) ensureConn(ctx context.Context) error {
 	c.connMu.Lock()
 	live := c.conn != nil
@@ -441,7 +454,7 @@ func (c *Client) ensureConn(ctx context.Context) error {
 }
 
 // dropConn closes and forgets the connection so the next attempt redials.
-// Callers hold c.mu.
+// Callers hold c.xmu.
 func (c *Client) dropConn() {
 	c.connMu.Lock()
 	if c.conn != nil {
@@ -453,8 +466,17 @@ func (c *Client) dropConn() {
 	c.enc = nil
 }
 
-// exchange performs one connect-send-receive round. Callers hold c.mu.
-func (c *Client) exchange(ctx context.Context, req OffloadRequest) (OffloadResponse, error) {
+// exchangeJSON performs one connect-send-receive round of the line
+// protocol. Exchanges are serialized, one in flight per connection, and a
+// failed one drops the connection so the next attempt redials.
+func (c *Client) exchangeJSON(ctx context.Context, req OffloadRequest) (resp OffloadResponse, err error) {
+	c.xmu.Lock()
+	defer c.xmu.Unlock()
+	defer func() {
+		if err != nil {
+			c.dropConn()
+		}
+	}()
 	if err := c.ensureConn(ctx); err != nil {
 		return OffloadResponse{}, err
 	}
@@ -465,10 +487,7 @@ func (c *Client) exchange(ctx context.Context, req OffloadRequest) (OffloadRespo
 		return OffloadResponse{}, ErrClientClosed
 	}
 
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		deadline = time.Time{}
-	}
+	deadline, _ := ctx.Deadline()
 	if err := conn.SetDeadline(deadline); err != nil {
 		return OffloadResponse{}, fmt.Errorf("cran: set deadline: %w", err)
 	}
@@ -482,33 +501,47 @@ func (c *Client) exchange(ctx context.Context, req OffloadRequest) (OffloadRespo
 		}
 		return OffloadResponse{}, fmt.Errorf("cran: receive: %w", err)
 	}
-	var resp OffloadResponse
 	if err := json.Unmarshal(line, &resp); err != nil {
 		return OffloadResponse{}, fmt.Errorf("cran: decode response: %w", err)
 	}
 	return resp, nil
 }
 
-// breakerOpen reports whether the circuit is open, transitioning to
-// half-open (one probe allowed) once the cooldown has elapsed. Callers
-// hold c.mu.
-func (c *Client) breakerOpen() bool {
+// breakerAdmit reports whether an attempt may use the network. A closed
+// circuit admits everyone; an open one admits no one until the cooldown
+// has elapsed, and then exactly one probe (half-open) until that probe
+// settles. Callers hold c.mu.
+func (c *Client) breakerAdmit() (admit, probe bool) {
 	if c.rc.BreakerThreshold <= 0 || c.fails < c.rc.BreakerThreshold {
-		return false
+		return true, false
 	}
-	if time.Now().After(c.openAt.Add(c.rc.BreakerCooldown)) {
-		c.fails = c.rc.BreakerThreshold - 1 // half-open: admit one probe
-		return false
+	if c.probing || time.Now().Before(c.openAt.Add(c.rc.BreakerCooldown)) {
+		return false, false
 	}
-	return true
+	c.probing = true
+	return true, true
 }
 
-func (c *Client) recordFailure() {
-	c.fails++
-	if c.rc.BreakerThreshold > 0 && c.fails >= c.rc.BreakerThreshold {
-		c.openAt = time.Now()
+// settle records one exchange's transport outcome: an answer closes the
+// circuit, a failure counts toward (or re-opens) it. It also ends the
+// half-open probe the exchange carried, if any.
+func (c *Client) settle(probe bool, err error) {
+	c.mu.Lock()
+	if probe {
+		c.probing = false
 	}
-	c.countMetric(func(m *obs.ClientMetrics) { m.TransportFailures.Inc() })
+	if err == nil {
+		c.fails = 0
+	} else {
+		c.fails++
+		if c.rc.BreakerThreshold > 0 && c.fails >= c.rc.BreakerThreshold {
+			c.openAt = time.Now()
+		}
+	}
+	c.mu.Unlock()
+	if err != nil {
+		c.countMetric(func(m *obs.ClientMetrics) { m.TransportFailures.Inc() })
+	}
 }
 
 // countMetric applies fn to the configured metrics sink, if any.
@@ -516,13 +549,6 @@ func (c *Client) countMetric(fn func(*obs.ClientMetrics)) {
 	if c.rc.Metrics != nil {
 		fn(c.rc.Metrics)
 	}
-}
-
-// sleepBackoff waits the jittered exponential backoff for the given retry
-// attempt, aborting early on context expiry or Close. It reports whether
-// the retry should proceed. Callers hold c.mu.
-func (c *Client) sleepBackoff(ctx context.Context, attempt int) bool {
-	return c.sleepDelay(ctx, c.backoffDelay(attempt))
 }
 
 // backoffDelay computes the jittered exponential delay before the given

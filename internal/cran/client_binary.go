@@ -4,13 +4,12 @@ package cran
 // shared by every concurrent Offload call. Each call registers a waiter
 // under a fresh 64-bit request ID, writes one framed request, and blocks on
 // its private channel; a single demultiplexing goroutine reads response
-// frames and routes each to its waiter by ID. The retry, backoff, circuit
-// breaker, and graceful-degradation semantics of the JSON path carry over
-// unchanged — only the transport discipline differs.
+// frames and routes each to its waiter by ID. Offload's retry, backoff,
+// circuit breaker, and graceful-degradation loop (client.go) runs over this
+// exchange exactly as over the JSON one — only the transport discipline
+// differs.
 
 import (
-	"time"
-
 	"bufio"
 	"context"
 	"encoding/binary"
@@ -252,100 +251,4 @@ func (c *Client) exchangeMux(ctx context.Context, req *OffloadRequest) (OffloadR
 		m.deregister(id)
 		return OffloadResponse{}, ErrClientClosed
 	}
-}
-
-// offloadMux is Offload over the multiplexed binary transport, preserving
-// the JSON path's semantics: retries with jittered backoff, breaker
-// accounting on transport failures only, backpressure retried without
-// breaker counts, graceful local degradation. Unlike the JSON path it
-// holds no lock across network waits, so calls genuinely run concurrently.
-func (c *Client) offloadMux(ctx context.Context, req OffloadRequest) (OffloadResponse, error) {
-	var lastErr error
-	for attempt := 0; attempt < c.rc.MaxAttempts; attempt++ {
-		if c.isClosed() {
-			lastErr = ErrClientClosed
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("cran: %w", err)
-			}
-			break
-		}
-		c.mu.Lock()
-		open := c.breakerOpen()
-		var delay time.Duration
-		if !open && attempt > 0 {
-			delay = c.backoffDelay(attempt)
-		}
-		c.mu.Unlock()
-		if open {
-			lastErr = ErrCircuitOpen
-			c.countMetric(func(m *obs.ClientMetrics) { m.BreakerFastFails.Inc() })
-			break
-		}
-		if attempt > 0 && !c.sleepDelay(ctx, delay) {
-			break // context expired or client closed during backoff
-		}
-		c.countMetric(func(m *obs.ClientMetrics) {
-			m.Attempts.Inc()
-			if attempt > 0 {
-				m.Retries.Inc()
-			}
-		})
-		resp, err := c.exchangeMux(ctx, &req)
-		if err == nil {
-			c.mu.Lock()
-			c.fails = 0
-			c.mu.Unlock()
-			if werr := resp.Err(); werr != nil {
-				if IsBackpressureCode(resp.Code) {
-					lastErr = werr
-					continue
-				}
-				return resp, werr
-			}
-			return resp, nil
-		}
-		lastErr = err
-		c.mu.Lock()
-		c.recordFailure()
-		c.mu.Unlock()
-	}
-
-	if c.rc.DegradeLocal && !c.isClosed() {
-		if resp, err := c.localDecision(req); err == nil {
-			c.countMetric(func(m *obs.ClientMetrics) { m.Degraded.Inc() })
-			return resp, nil
-		}
-	}
-	if lastErr == nil {
-		lastErr = errors.New("cran: no attempts configured")
-	}
-	return OffloadResponse{}, lastErr
-}
-
-// healthMux is Health over the multiplexed transport: a single attempt,
-// never degraded, mirroring the JSON path.
-func (c *Client) healthMux(ctx context.Context) (Health, error) {
-	if c.isClosed() {
-		return Health{}, ErrClientClosed
-	}
-	resp, err := c.exchangeMux(ctx, &OffloadRequest{Version: ProtocolVersion, Type: TypeHealth})
-	if err != nil {
-		c.mu.Lock()
-		c.recordFailure()
-		c.mu.Unlock()
-		return Health{}, err
-	}
-	c.mu.Lock()
-	c.fails = 0
-	c.mu.Unlock()
-	if resp.Error != "" {
-		return Health{}, fmt.Errorf("cran: coordinator rejected health probe: %s", resp.Error)
-	}
-	if resp.Health == nil {
-		return Health{}, errors.New("cran: coordinator returned no health payload")
-	}
-	return *resp.Health, nil
 }

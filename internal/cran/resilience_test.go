@@ -71,82 +71,165 @@ func TestDegradedDecisionOnCoordinatorOutage(t *testing.T) {
 	}
 }
 
+// codecs are the two wire protocols the client's single retry loop runs
+// over; the resilience tests below run once per codec.
+var codecs = []string{ProtoJSON, ProtoBinary}
+
 // TestRetryReconnects exercises the redial path: the first dials fail, the
 // retry succeeds, and the caller sees a normal scheduled decision.
 func TestRetryReconnects(t *testing.T) {
 	srv := startServer(t, testServerConfig())
-	var dials atomic.Int64
-	cli, err := NewClient(srv.Addr().String(), ResilienceConfig{
-		MaxAttempts: 3,
-		BackoffBase: time.Millisecond,
-		Dialer: func(ctx context.Context, addr string) (net.Conn, error) {
-			if dials.Add(1) <= 2 {
-				return nil, errors.New("injected dial failure")
+	for _, proto := range codecs {
+		t.Run(proto, func(t *testing.T) {
+			var dials atomic.Int64
+			cli, err := NewClient(srv.Addr().String(), ResilienceConfig{
+				MaxAttempts: 3,
+				BackoffBase: time.Millisecond,
+				Protocol:    proto,
+				Dialer: func(ctx context.Context, addr string) (net.Conn, error) {
+					if dials.Add(1) <= 2 {
+						return nil, errors.New("injected dial failure")
+					}
+					var d net.Dialer
+					return d.DialContext(ctx, "tcp", addr)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+			defer cli.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	resp, err := cli.Offload(ctx, testRequest("retry-user", 0.1, 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Degraded || resp.Epoch == 0 {
-		t.Errorf("want a coordinator-scheduled decision after retry, got %+v", resp)
-	}
-	if got := dials.Load(); got != 3 {
-		t.Errorf("dial attempts = %d, want 3", got)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			resp, err := cli.Offload(ctx, testRequest("retry-"+proto, 0.1, 0.05))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Degraded || resp.Epoch == 0 {
+				t.Errorf("want a coordinator-scheduled decision after retry, got %+v", resp)
+			}
+			if got := dials.Load(); got != 3 {
+				t.Errorf("dial attempts = %d, want 3", got)
+			}
+		})
 	}
 }
 
-// TestCircuitBreaker pins the open and half-open transitions.
+// TestCircuitBreaker pins the open and half-open transitions on both
+// codecs. In the holdProbe cases the half-open probe is held inside the
+// dialer while eight more calls arrive: they must fail fast without
+// dialing, because a half-open breaker admits exactly one probe.
 func TestCircuitBreaker(t *testing.T) {
-	var dials atomic.Int64
-	cli, err := NewClient(deadAddr(t), ResilienceConfig{
-		MaxAttempts:      1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  50 * time.Millisecond,
-		DialTimeout:      100 * time.Millisecond,
-		Dialer: func(ctx context.Context, addr string) (net.Conn, error) {
-			dials.Add(1)
-			return nil, errors.New("injected dial failure")
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		proto     string
+		holdProbe bool
+	}{
+		{"json", ProtoJSON, false},
+		{"binary", ProtoBinary, false},
+		{"json-single-probe", ProtoJSON, true},
+		{"binary-single-probe", ProtoBinary, true},
 	}
-	defer cli.Close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var dials atomic.Int64
+			release := make(chan struct{})
+			var releaseOnce sync.Once
+			releaseProbe := func() { releaseOnce.Do(func() { close(release) }) }
+			defer releaseProbe()
+			cli, err := NewClient(deadAddr(t), ResilienceConfig{
+				MaxAttempts:      1,
+				BreakerThreshold: 2,
+				BreakerCooldown:  50 * time.Millisecond,
+				DialTimeout:      100 * time.Millisecond,
+				Protocol:         tc.proto,
+				Dialer: func(ctx context.Context, addr string) (net.Conn, error) {
+					if dials.Add(1) == 3 && tc.holdProbe {
+						<-release
+					}
+					return nil, errors.New("injected dial failure")
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
 
-	ctx := context.Background()
-	req := testRequest("breaker-user", 0, 0)
-	for i := 0; i < 2; i++ {
-		if _, err := cli.Offload(ctx, req); err == nil {
-			t.Fatal("failing dialer produced a decision")
-		}
-	}
-	if _, err := cli.Offload(ctx, req); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("after threshold failures err = %v, want ErrCircuitOpen", err)
-	}
-	if got := dials.Load(); got != 2 {
-		t.Errorf("open breaker still dialed: %d dials, want 2", got)
-	}
-	// After the cooldown the breaker goes half-open and admits one probe.
-	// Poll rather than sleep a fixed margin: open-state calls fast-fail
-	// without dialing, so the dial count proves exactly one probe went out
-	// the moment the breaker admitted it.
-	waitUntil(t, 30*time.Second, "the breaker to go half-open", func() bool {
-		_, err := cli.Offload(ctx, req)
-		return !errors.Is(err, ErrCircuitOpen)
-	})
-	if got := dials.Load(); got != 3 {
-		t.Errorf("half-open probe did not dial: %d dials, want 3", got)
+			ctx := context.Background()
+			req := testRequest("breaker-"+tc.name, 0, 0)
+			for i := 0; i < 2; i++ {
+				if _, err := cli.Offload(ctx, req); err == nil {
+					t.Fatal("failing dialer produced a decision")
+				}
+			}
+			if _, err := cli.Offload(ctx, req); !errors.Is(err, ErrCircuitOpen) {
+				t.Fatalf("after threshold failures err = %v, want ErrCircuitOpen", err)
+			}
+			if got := dials.Load(); got != 2 {
+				t.Errorf("open breaker still dialed: %d dials, want 2", got)
+			}
+			if !tc.holdProbe {
+				// After the cooldown the breaker goes half-open and admits
+				// one probe. Poll rather than sleep a fixed margin:
+				// open-state calls fast-fail without dialing, so the dial
+				// count proves exactly one probe went out the moment the
+				// breaker admitted it.
+				waitUntil(t, 30*time.Second, "the breaker to go half-open", func() bool {
+					_, err := cli.Offload(ctx, req)
+					return !errors.Is(err, ErrCircuitOpen)
+				})
+				if got := dials.Load(); got != 3 {
+					t.Errorf("half-open probe did not dial: %d dials, want 3", got)
+				}
+				return
+			}
+
+			// Keep offering calls until one is admitted as the probe; the
+			// dialer holds it at dial 3.
+			probeErr := make(chan error, 1)
+			go func() {
+				for {
+					if _, err := cli.Offload(ctx, req); !errors.Is(err, ErrCircuitOpen) {
+						probeErr <- err
+						return
+					}
+				}
+			}()
+			waitUntil(t, 30*time.Second, "the half-open probe to dial", func() bool {
+				return dials.Load() == 3
+			})
+			const others = 8
+			errs := make(chan error, others)
+			for i := 0; i < others; i++ {
+				go func() {
+					_, err := cli.Offload(ctx, req)
+					errs <- err
+				}()
+			}
+			failsafe := time.NewTimer(10 * time.Second)
+			defer failsafe.Stop()
+			for i := 0; i < others; i++ {
+				select {
+				case err := <-errs:
+					if !errors.Is(err, ErrCircuitOpen) {
+						t.Errorf("call during the half-open probe: err = %v, want ErrCircuitOpen", err)
+					}
+				case <-failsafe.C:
+					releaseProbe()
+					t.Fatalf("%d of %d calls blocked behind the half-open probe instead of failing fast", others-i, others)
+				}
+			}
+			if got := dials.Load(); got != 3 {
+				t.Errorf("calls during the half-open probe dialed: %d dials, want 3", got)
+			}
+			releaseProbe()
+			if err := <-probeErr; err == nil {
+				t.Error("failing probe produced a decision")
+			}
+			if _, err := cli.Offload(ctx, req); !errors.Is(err, ErrCircuitOpen) {
+				t.Errorf("after a failed probe err = %v, want ErrCircuitOpen", err)
+			}
+		})
 	}
 }
 

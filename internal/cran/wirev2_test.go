@@ -694,86 +694,6 @@ func TestMuxContextExpiryKeepsConnection(t *testing.T) {
 
 // --- resilience over the multiplexed transport -------------------------------
 
-// TestMuxRetryReconnects: the retry/redial loop carries over to the binary
-// transport — failed dials are retried with backoff and the call lands.
-func TestMuxRetryReconnects(t *testing.T) {
-	srv := startServer(t, testServerConfig())
-	var dials atomic.Int64
-	cli, err := NewClient(srv.Addr().String(), ResilienceConfig{
-		MaxAttempts: 3,
-		BackoffBase: time.Millisecond,
-		Protocol:    ProtoBinary,
-		Dialer: func(ctx context.Context, addr string) (net.Conn, error) {
-			if dials.Add(1) <= 2 {
-				return nil, errors.New("injected dial failure")
-			}
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	resp, err := cli.Offload(ctx, testRequest("mux-retry", 0.1, 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Degraded || resp.Epoch == 0 {
-		t.Errorf("want a coordinator-scheduled decision after retry, got %+v", resp)
-	}
-	if got := dials.Load(); got != 3 {
-		t.Errorf("dial attempts = %d, want 3", got)
-	}
-}
-
-// TestMuxCircuitBreaker pins the breaker transitions on the binary path.
-func TestMuxCircuitBreaker(t *testing.T) {
-	var dials atomic.Int64
-	cli, err := NewClient(deadAddr(t), ResilienceConfig{
-		MaxAttempts:      1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  50 * time.Millisecond,
-		DialTimeout:      100 * time.Millisecond,
-		Protocol:         ProtoBinary,
-		Dialer: func(ctx context.Context, addr string) (net.Conn, error) {
-			dials.Add(1)
-			return nil, errors.New("injected dial failure")
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	ctx := context.Background()
-	req := testRequest("mux-breaker", 0, 0)
-	for i := 0; i < 2; i++ {
-		if _, err := cli.Offload(ctx, req); err == nil {
-			t.Fatal("failing dialer produced a decision")
-		}
-	}
-	if _, err := cli.Offload(ctx, req); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("after threshold failures err = %v, want ErrCircuitOpen", err)
-	}
-	if got := dials.Load(); got != 2 {
-		t.Errorf("open breaker still dialed: %d dials, want 2", got)
-	}
-	// Poll past the cooldown instead of sleeping a fixed margin: open-state
-	// calls fast-fail without dialing, so the dial count proves exactly one
-	// probe went out once the breaker admitted it.
-	waitUntil(t, 30*time.Second, "the breaker to go half-open", func() bool {
-		_, err := cli.Offload(ctx, req)
-		return !errors.Is(err, ErrCircuitOpen)
-	})
-	if got := dials.Load(); got != 3 {
-		t.Errorf("half-open probe did not dial: %d dials, want 3", got)
-	}
-}
-
 // TestMuxChaosDegrades: fatal transport faults on the multiplexed connection
 // end in a graceful local decision, exactly like the JSON path.
 func TestMuxChaosDegrades(t *testing.T) {
