@@ -28,6 +28,20 @@ servebench-check:
 	go -C servebench vet ./...
 	go -C servebench test ./...
 
+# Results gate: regenerate every recorded figure and ablation panel at the
+# default flags into a temp dir and diff it against results/. The runs are
+# deterministic per seed and worker count, so every panel must match byte
+# for byte except the wall-clock ones (fig8 and abl-cooling_panel1, solve
+# time), which are skipped. Re-record results/ in the same commit as any
+# change that moves a panel.
+.PHONY: results-check
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	go run ./cmd/tsajs-sim -figure all -o "$$tmp" > /dev/null && \
+	go run ./cmd/tsajs-sim -figure ablations -o "$$tmp" > /dev/null && \
+	diff -r -x bench -x 'fig8_*' -x abl-cooling_panel1.txt results "$$tmp" && \
+	echo "results-check: every deterministic panel matches results/"
+
 # Fuzz smoke: every native fuzz target runs its checked-in corpus
 # (testdata/fuzz/ + f.Add seeds) plus a few seconds of fresh exploration.
 .PHONY: fuzz-smoke
