@@ -471,6 +471,9 @@ func decodeResponseBody(frameType byte, body []byte, resp *OffloadResponse) erro
 	if resp.Epoch, body, err = consumeUvarint(body); err != nil {
 		return err
 	}
+	// A local decision carries no grant on the wire; it decodes to the
+	// coordinator's Local/Local (-1, -1), as the JSON codec carries it.
+	resp.Server, resp.Channel = -1, -1
 	if resp.Offload {
 		var v uint64
 		if v, body, err = consumeUvarint(body); err != nil {

@@ -119,6 +119,8 @@ func wireVectors() (reqs []struct {
 				Version:         ProtocolVersion,
 				UserID:          "u1",
 				Epoch:           9,
+				Server:          -1,
+				Channel:         -1,
 				ExpectedDelayS:  1.5,
 				ExpectedEnergyJ: 0.25,
 			},
