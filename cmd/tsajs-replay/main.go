@@ -149,11 +149,15 @@ func run(args []string, stdout io.Writer) error {
 			e.Epoch, e.Active, e.Offloaded, e.Utility, e.MeanDelayS, e.MeanEnergyJ,
 			e.SolveTime.Round(1e5), e.WarmStarted, e.DownServers, coord)
 		if deltaCfg != nil {
-			mode := "repair"
-			if e.DeltaFull {
-				mode = "full:" + e.DeltaReason
+			// Empty and coordinator-down epochs ran no solve.
+			dirty, mode := "-", "-"
+			if e.Active > 0 && !e.CoordinatorDown {
+				dirty, mode = fmt.Sprint(e.DeltaDirty), "repair"
+				if e.DeltaFull {
+					mode = "full:" + e.DeltaReason
+				}
 			}
-			fmt.Fprintf(stdout, " %6d %-10s", e.DeltaDirty, mode)
+			fmt.Fprintf(stdout, " %6s %-10s", dirty, mode)
 		}
 		fmt.Fprintln(stdout)
 	}

@@ -66,6 +66,42 @@ func TestReplayFaultInjection(t *testing.T) {
 	}
 }
 
+// TestReplayDeltaUnsolvedEpochs checks the delta columns: an epoch that
+// ran no solve (coordinator down, or nobody active) prints "-" for both,
+// and every solved epoch names its mode.
+func TestReplayDeltaUnsolvedEpochs(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{
+		"-epochs", "12", "-users", "10", "-servers", "3", "-channels", "2",
+		"-budget", "600", "-active", "0.9", "-delta",
+		"-coord-fail-prob", "0.4", "-fault-seed", "9",
+	}, &sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := 0
+	for _, l := range strings.Split(sb.String(), "\n")[1:] {
+		f := strings.Fields(l)
+		if len(f) != 12 {
+			break
+		}
+		dirty, mode := f[10], f[11]
+		unsolved := f[9] == "DOWN" || f[1] == "0"
+		if unsolved {
+			down++
+		}
+		if unsolved != (dirty == "-" && mode == "-") {
+			t.Errorf("epoch row %q: dirty %q, mode %q", l, dirty, mode)
+		}
+		if !unsolved && mode != "repair" && !strings.HasPrefix(mode, "full:") {
+			t.Errorf("solved epoch row %q has mode %q", l, mode)
+		}
+	}
+	if down == 0 {
+		t.Fatalf("no coordinator-down epoch drawn:\n%s", sb.String())
+	}
+}
+
 func TestReplayRejectsInvalid(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-epochs", "0"}, &sb); err == nil {

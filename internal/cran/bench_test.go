@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"github.com/tsajs/tsajs/internal/simrand"
 )
 
 // BenchmarkServeEpoch measures one solver worker's epoch turnaround on its
@@ -48,7 +50,7 @@ func BenchmarkServeEpoch(b *testing.B) {
 		// Re-derive the same streams each iteration so every epoch solve is
 		// bit-identical; the derivation cost is part of the serving path.
 		eb.solveRNG = srv.rng.Derive(eb.epoch)
-		eb.gainRNG = srv.rng.Derive(eb.epoch ^ gainStreamLabel)
+		eb.gainKey = simrand.Key(srv.rng.Seed(), eb.epoch^gainStreamLabel)
 		w.solveEpoch(eb)
 		for j := range ps {
 			resp := <-ps[j].reply
@@ -107,7 +109,7 @@ func BenchmarkServeEpochDegraded(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eb.solveRNG = srv.rng.Derive(eb.epoch)
-				eb.gainRNG = srv.rng.Derive(eb.epoch ^ gainStreamLabel)
+				eb.gainKey = simrand.Key(srv.rng.Seed(), eb.epoch^gainStreamLabel)
 				w.solveEpoch(eb)
 				for j := range ps {
 					resp := <-ps[j].reply

@@ -1,7 +1,6 @@
 package cran
 
 import (
-	"sort"
 	"sync"
 
 	"github.com/tsajs/tsajs/internal/assign"
@@ -21,14 +20,16 @@ import (
 //
 // Correctness hinges on two disciplines:
 //
-//   - Per-user gain streams. Each user's gain block is drawn from
-//     eb.gainRNG.Derive(fnv64(UserID)) — a pure function of (seed, epoch,
-//     user ID) — and the batch is sorted by user ID before solving. An
+//   - Per-user gain streams. Every epoch, delta or not, draws a user's
+//     gain block from the worker's row stream re-keyed to
+//     simrand.Key(eb.gainKey, fnv64(UserID)) — a pure function of (seed,
+//     epoch, user ID) — after solveEpoch sorted the batch by user ID. An
 //     epoch's scenario is therefore a function of the request *set*, not
 //     of arrival order, worker count, or which earlier epochs refreshed
 //     which rows. Full epochs of a delta coordinator are bit-identical to
 //     the same epochs of a threshold-0 coordinator (which full-solves
-//     every epoch), which is what the differential harness asserts.
+//     every epoch) and of a plain coordinator, which is what the
+//     differential harness asserts.
 //
 //   - Chain sequencing. The cache and incumbent are stateful across
 //     epochs, so delta epochs of one chain (one cell on partitioned
@@ -141,19 +142,6 @@ func (s *Server) closeDeltaChains() {
 	}
 }
 
-// fnv64 is FNV-1a over the user ID — the label deriving a user's per-epoch
-// gain stream, chosen so the stream depends on the ID alone (not on the
-// user's index in the sorted batch, which varies with the request set).
-func fnv64(s string) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}
-
 // solveDeltaEpoch is solveEpoch's incremental sibling: plan the batch
 // against the chain's state, refresh only the rows the plan asks for, and
 // repair from the carried incumbent unless a fallback gate forces a full
@@ -162,12 +150,6 @@ func (w *solveWorker) solveDeltaEpoch(eb epochBatch, ch *deltaChain) {
 	s := w.srv
 	p := s.cfg.Params
 	st := ch.state
-	// Sort by user ID like partitioned epochs always do: with per-user
-	// gain streams this makes the decision vector a pure function of the
-	// request set, whatever order the requests raced in.
-	sort.SliceStable(eb.batch, func(i, j int) bool {
-		return eb.batch[i].req.UserID < eb.batch[j].req.UserID
-	})
 	ids := make([]string, len(eb.batch))
 	for i := range eb.batch {
 		ids[i] = eb.batch[i].req.UserID
@@ -178,13 +160,12 @@ func (w *solveWorker) solveDeltaEpoch(eb epochBatch, ch *deltaChain) {
 	plan := st.Plan(int(eb.epoch-1), ids, pos, nil)
 
 	reused := 0
-	sc, err := w.buildScenario(eb, func(sites []geom.Point) (radio.GainTensor, error) {
-		gain := radio.TensorInto(w.gainBuf, len(ids), len(sites), p.NumChannels)
+	sc, err := w.buildScenario(eb, func(gain radio.GainTensor, sites []geom.Point) error {
 		var err error
 		reused, err = st.Gains(plan, ids, gain, p.PathLoss, sites, pos, func(i int) *simrand.Source {
-			return eb.gainRNG.Derive(fnv64(ids[i]))
+			return w.rowStream(eb, i)
 		})
-		return gain, err
+		return err
 	})
 	if err != nil {
 		s.failBatch(eb.batch, CodeInternal, "epoch scenario: "+err.Error())

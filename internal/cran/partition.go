@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/tsajs/tsajs/internal/geom"
+	"github.com/tsajs/tsajs/internal/simrand"
 )
 
 // PartitionConfig turns a coordinator into one shard of a multi-coordinator
@@ -116,7 +117,7 @@ func (s *Server) enqueueCellEpochs(batch []pending) {
 			batch:     batch[start:end:end],
 			tier:      tier,
 			solveRNG:  base.Derive(epoch),
-			gainRNG:   base.Derive(epoch ^ gainStreamLabel),
+			gainKey:   simrand.Key(base.Seed(), epoch^gainStreamLabel),
 			collected: now,
 		}
 		eb.plan = s.planEpoch(cell, epoch, tier, eb.solveRNG)

@@ -6,7 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -28,15 +29,14 @@ import (
 // than buffering unboundedly or blocking collection of the next epoch.
 var ErrQueueFull = errors.New("cran: solve queue full, epoch rejected")
 
-// gainStreamLabel separates the channel-estimation RNG stream from the
-// solver stream within one epoch (the historical constant, kept so epoch
-// gains are bit-identical to the pre-pipeline coordinator).
+// gainStreamLabel separates an epoch's channel-estimation streams from its
+// solver stream.
 const gainStreamLabel = 0xc51
 
 // epochBatch is one collected epoch in flight between the batch collector
-// and a solver worker. The epoch number and both derived RNG streams are
-// stamped at enqueue time: simrand.Derive depends only on the parent seed,
-// so deriving at collection is bit-identical to deriving at solve time, and
+// and a solver worker. The epoch number, the solver stream and the gain key
+// are stamped at enqueue time: both depend only on the parent seed, so
+// stamping at collection is bit-identical to deriving at solve time, and
 // per-epoch results do not depend on which worker solves the batch or when.
 type epochBatch struct {
 	epoch uint64
@@ -45,11 +45,13 @@ type epochBatch struct {
 	// -1 on unpartitioned coordinators, where one epoch spans the whole
 	// network. Partitioned epochs solve a one-site scenario and epoch numbers
 	// count per cell, not per coordinator.
-	cell      int
-	batch     []pending
-	tier      epochTier
-	solveRNG  *simrand.Source
-	gainRNG   *simrand.Source
+	cell     int
+	batch    []pending
+	tier     epochTier
+	solveRNG *simrand.Source
+	// gainKey keys the epoch's per-user gain streams: user u's row is drawn
+	// from simrand.Stream(simrand.Key(gainKey, fnv64(u))).
+	gainKey   uint64
 	collected time.Time
 	// plan, when non-nil, routes this full-tier epoch through the
 	// heterogeneous portfolio: slot i runs roster member plan[i]. Stamped
@@ -66,10 +68,11 @@ type epochBatch struct {
 
 // solveWorker is one epoch-solving goroutine. Each worker owns its own TTSA
 // instance and a private set of reusable epoch buffers (user and position
-// slices, the gain-tensor backing array, one Scenario value whose derived
-// tables Finalize recycles), so workers solve concurrently without sharing
-// mutable state and the steady-state epoch path stops allocating once the
-// scratch has grown to the configured MaxBatch.
+// slices, the gain-tensor backing array, the gain row stream, one Scenario
+// value whose derived tables Finalize recycles), so workers solve
+// concurrently without sharing mutable state and the steady-state epoch
+// path stops allocating once the scratch has grown to the configured
+// MaxBatch.
 type solveWorker struct {
 	srv           *Server
 	ttsa          *core.TTSA
@@ -80,11 +83,35 @@ type solveWorker struct {
 	users     []scenario.User
 	positions []geom.Point
 	gainBuf   []float64
+	row       *simrand.Source
 	sc        scenario.Scenario
 }
 
 func (s *Server) newSolveWorker() *solveWorker {
-	return &solveWorker{srv: s, ttsa: s.ttsa, ttsaTruncated: s.ttsaTruncated, cheap: s.cheap, pf: s.pf}
+	return &solveWorker{
+		srv: s, ttsa: s.ttsa, ttsaTruncated: s.ttsaTruncated, cheap: s.cheap, pf: s.pf,
+		row: simrand.Stream(0),
+	}
+}
+
+// rowStream re-keys the worker's row stream to user i's gain stream for the
+// epoch, a pure function of (seed, epoch, user ID).
+func (w *solveWorker) rowStream(eb epochBatch, i int) *simrand.Source {
+	w.row.Rekey(simrand.Key(eb.gainKey, fnv64(eb.batch[i].req.UserID)))
+	return w.row
+}
+
+// fnv64 is FNV-1a over the user ID — the label deriving a user's per-epoch
+// gain stream, chosen so the stream depends on the ID alone (not on the
+// user's index in the sorted batch, which varies with the request set).
+func fnv64(s string) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime
+	}
+	return h
 }
 
 // loop drains the solve queue until the collector closes it. A batch queued
@@ -224,6 +251,13 @@ func (w *solveWorker) solveEpoch(eb epochBatch) {
 			}
 		}
 	}
+	// Sort by user ID before solving: with per-user gain streams the
+	// decision vector is then a pure function of the request *set*, not of
+	// arrival interleaving — the differential harnesses compare
+	// coordinators whose requests race in over many connections.
+	slices.SortStableFunc(eb.batch, func(a, b pending) int {
+		return strings.Compare(a.req.UserID, b.req.UserID)
+	})
 	if ch := s.deltaChainFor(eb.cell); ch != nil {
 		// Delta-epoch serving: incremental scenario assembly and a scoped
 		// repair solve against the chain's cached state. The worker already
@@ -231,18 +265,14 @@ func (w *solveWorker) solveEpoch(eb epochBatch) {
 		w.solveDeltaEpoch(eb, ch)
 		return
 	}
-	if eb.cell >= 0 {
-		// Partitioned epochs sort by user ID before solving so the decision
-		// vector is a pure function of the request *set*, not of arrival
-		// interleaving — the differential harness compares clusters whose
-		// requests race in over many connections.
-		sort.SliceStable(eb.batch, func(i, j int) bool {
-			return eb.batch[i].req.UserID < eb.batch[j].req.UserID
-		})
-	}
 	p := s.cfg.Params
-	sc, err := w.buildScenario(eb, func(sites []geom.Point) (radio.GainTensor, error) {
-		return radio.NewGainTensorInto(w.gainBuf, p.PathLoss, w.positions, sites, p.NumChannels, eb.gainRNG)
+	sc, err := w.buildScenario(eb, func(gain radio.GainTensor, sites []geom.Point) error {
+		for i := range eb.batch {
+			if err := gain.RefreshUser(p.PathLoss, i, w.positions[i], sites, w.rowStream(eb, i)); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		s.skipPlan(eb)
@@ -330,12 +360,13 @@ func (w *solveWorker) schedule(eb epochBatch, sc *scenario.Scenario) (solver.Res
 }
 
 // buildScenario assembles a one-epoch scenario from the batch into the
-// worker's scratch buffers, taking the channel gains from gains, which
-// sees the epoch's sites and the loaded positions (w.positions). The full
-// path draws the whole tensor from the coordinator's calibrated path-loss
-// model (the simulator stand-in for measured CSI) on the epoch's gain
-// stream; the delta path assembles it from the chain's row cache.
-func (w *solveWorker) buildScenario(eb epochBatch, gains func(sites []geom.Point) (radio.GainTensor, error)) (*scenario.Scenario, error) {
+// worker's scratch buffers; fill writes every user's gain block into the
+// tensor, given the epoch's sites and the loaded positions (w.positions).
+// The full path draws each row from the coordinator's calibrated path-loss
+// model (the simulator stand-in for measured CSI) on the user's gain
+// stream; the delta path redraws dirty rows the same way and copies the
+// rest from the chain's row cache.
+func (w *solveWorker) buildScenario(eb epochBatch, fill func(gain radio.GainTensor, sites []geom.Point) error) (*scenario.Scenario, error) {
 	s := w.srv
 	p := s.cfg.Params
 	sites, servers := s.sites, s.servers
@@ -366,11 +397,11 @@ func (w *solveWorker) buildScenario(eb epochBatch, gains func(sites []geom.Point
 			Lambda:     pd.req.Lambda,
 		}
 	}
-	gain, err := gains(sites)
-	if err != nil {
+	gain := radio.TensorInto(w.gainBuf, n, len(sites), p.NumChannels)
+	w.gainBuf = gain.Data()
+	if err := fill(gain, sites); err != nil {
 		return nil, err
 	}
-	w.gainBuf = gain.Data()
 	w.sc.Users = w.users
 	w.sc.Servers = servers
 	w.sc.Gain = gain

@@ -726,10 +726,9 @@ func (s *Server) applyDefaults(req *OffloadRequest) {
 // batchLoop is the pipeline's pure collector: it groups submissions into
 // epochs and hands each epoch to the bounded solve queue instead of solving
 // inline, so collecting the next batch overlaps the solve of the previous
-// one. The epoch number and both per-epoch RNG streams are stamped here, at
-// enqueue time — simrand.Derive reads only the parent seed, so the streams
-// are bit-identical to the pre-pipeline coordinator's and independent of
-// which worker eventually solves the batch.
+// one. The epoch number, its solver stream and its gain key are stamped
+// here, at enqueue time — both read only the parent seed, so they are
+// independent of which worker eventually solves the batch.
 func (s *Server) batchLoop() {
 	defer s.wg.Done()
 	var (
@@ -782,8 +781,8 @@ func (s *Server) batchLoop() {
 	}
 }
 
-// enqueueEpoch stamps the next epoch number and its RNG streams on the
-// batch and offers it to the solve queue. A full queue fails the batch
+// enqueueEpoch stamps the next epoch number, its solver stream and its gain
+// key on the batch and offers it to the solve queue. A full queue fails the batch
 // immediately (ErrQueueFull): the coordinator sheds load at the epoch
 // boundary rather than queueing unboundedly or stalling collection.
 func (s *Server) enqueueEpoch(batch []pending) {
@@ -798,7 +797,7 @@ func (s *Server) enqueueEpoch(batch []pending) {
 		batch:     batch,
 		tier:      s.brownout.observe(len(s.solveQ)),
 		solveRNG:  s.rng.Derive(s.epoch),
-		gainRNG:   s.rng.Derive(s.epoch ^ gainStreamLabel),
+		gainKey:   simrand.Key(s.rng.Seed(), s.epoch^gainStreamLabel),
 		collected: time.Now(),
 	}
 	eb.plan = s.planEpoch(eb.cell, eb.epoch, eb.tier, eb.solveRNG)

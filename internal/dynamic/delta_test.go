@@ -67,23 +67,42 @@ func TestDeltaConfigValidate(t *testing.T) {
 }
 
 // TestDeltaFullEpochsHistoryFree is the sharpest form of the differential
-// gate: two runs that full-solve every epoch for entirely different
+// gate: three runs that full-solve every epoch for entirely different
 // reasons — threshold 0 trips the all-dirty gate, FullEvery 1 trips the
-// cadence gate under an unreachable threshold — must be bit-identical,
-// because a full epoch is a pure function of (seed, epoch, trajectory).
+// cadence gate under an unreachable threshold, and a plain run (no Delta)
+// is full by construction — must be bit-identical, with and without
+// faults, because a full epoch is a pure function of (seed, epoch,
+// trajectory).
 func TestDeltaFullEpochsHistoryFree(t *testing.T) {
-	a, err := Run(deltaTestConfig(delta.Config{MoveThresholdKm: 0, FullEvery: 5}))
+	base := deltaTestConfig(delta.Config{})
+	plan, err := faults.Generate(faults.Config{
+		ServerFailProb: 0.2,
+		CoordFailProb:  0.15,
+	}, base.Params.NumServers, base.Epochs, simrand.New(303))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(deltaTestConfig(delta.Config{MoveThresholdKm: 1e9, FullEvery: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Epochs {
-		ea, eb := a.Epochs[i], b.Epochs[i]
-		if ea.Utility != eb.Utility || ea.Offloaded != eb.Offloaded || ea.Evaluations != eb.Evaluations {
-			t.Fatalf("epoch %d diverged: all-dirty %+v vs cadence %+v", i, ea, eb)
+	for _, fp := range []*faults.Plan{nil, plan} {
+		run := func(d *delta.Config) *Result {
+			cfg := deltaTestConfig(delta.Config{})
+			cfg.Delta, cfg.FaultPlan = d, fp
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		a := run(&delta.Config{MoveThresholdKm: 0, FullEvery: 5})
+		b := run(&delta.Config{MoveThresholdKm: 1e9, FullEvery: 1})
+		plain := run(nil)
+		for i := range a.Epochs {
+			ea, eb, ep := a.Epochs[i], b.Epochs[i], plain.Epochs[i]
+			if ea.Utility != eb.Utility || ea.Offloaded != eb.Offloaded || ea.Evaluations != eb.Evaluations {
+				t.Fatalf("faults=%v epoch %d diverged: all-dirty %+v vs cadence %+v", fp != nil, i, ea, eb)
+			}
+			if ea.Utility != ep.Utility || ea.Offloaded != ep.Offloaded || ea.Evaluations != ep.Evaluations {
+				t.Fatalf("faults=%v epoch %d diverged: all-dirty %+v vs plain %+v", fp != nil, i, ea, ep)
+			}
 		}
 	}
 }

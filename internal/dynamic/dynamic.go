@@ -46,8 +46,9 @@ type Config struct {
 	SpeedKmHMin float64
 	SpeedKmHMax float64
 	// WarmStart re-seeds each epoch's search from the previous epoch's
-	// decision (restricted to still-active users). Cold start draws a
-	// fresh random initial decision every epoch.
+	// decision (restricted to still-active users); an epoch that solved
+	// nothing (no active user, or a coordinator outage) leaves nothing to
+	// carry. Cold start draws a fresh random initial decision every epoch.
 	WarmStart bool
 	// Scheduler overrides the default TTSA scheduler. Warm starting
 	// requires the default (it needs ScheduleFrom).
@@ -85,19 +86,16 @@ type Config struct {
 	// built-in TTSA scheduler for the solver stream; a custom Scheduler
 	// still gets the epoch stream.
 	Metrics *obs.Registry
-	// Delta, when non-nil, runs the incremental epoch path: gain-tensor
-	// rows are redrawn only for users whose position moved beyond the
-	// configured threshold (from per-(epoch,user) derived RNG streams, so
-	// every epoch's channel is a pure function of the seed and the
-	// trajectory), and the solve becomes a short repair anneal scoped to
-	// the dirty users with the previous epoch's decision as incumbent,
-	// falling back to a full cold solve on the configured gates. Requires
-	// the built-in TTSA scheduler, a single chain, and WarmStart off (the
-	// delta path manages its own incumbent). Note the delta path's RNG
-	// stream discipline differs from the sequential draws of the default
-	// path, so delta results are not comparable draw-for-draw with
-	// Delta == nil runs — the reference for a delta run is the same
-	// config with MoveThresholdKm = 0 (a full solve every epoch).
+	// Delta, when non-nil, runs incremental epochs: gain-tensor rows are
+	// redrawn only for users whose position moved beyond the configured
+	// threshold, and the solve becomes a short repair anneal scoped to the
+	// dirty users with the previous epoch's decision as incumbent, falling
+	// back to a full cold solve on the configured gates. Requires the
+	// built-in TTSA scheduler, a single chain, and WarmStart off (the delta
+	// path manages its own incumbent). Every run draws row i from the keyed
+	// stream of (epoch, user), so a delta run's full epochs are
+	// bit-identical to the same epochs of the Delta == nil run, which is
+	// also the MoveThresholdKm = 0 run: a full solve every epoch.
 	Delta *delta.Config
 	// FaultPlan, when non-nil, injects the plan's failures into the run:
 	// epochs where the coordinator is down degrade every active user to
@@ -234,22 +232,34 @@ type Result struct {
 }
 
 // Run executes the online simulation.
+//
+// Every run drives one delta.State over the population. Without
+// Config.Delta its config is delta.Config{FullEvery: 1}, so every epoch is
+// a full solve; with it, the state's gates pick full and repair epochs. Row
+// i of an epoch's gain tensor is drawn from the keyed stream of (epoch,
+// active[i]) (simrand.Stream), so a user's gains are a pure function of the
+// seed, the epoch and the user's position, whichever earlier epochs
+// refreshed which rows. That is what makes the full epochs of a delta run
+// bit-identical to the same epochs of a plain run.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Delta != nil {
-		return runDelta(cfg)
-	}
 
 	root := simrand.New(cfg.Seed)
-	moveRNG := root.Derive(0x6d6f7665)  // "move"
-	taskRNG := root.Derive(0x7461736b)  // "task"
-	radioRNG := root.Derive(0x72616469) // "radi"
-	solveRNG := root.Derive(0x736f6c76) // "solv"
+	moveRNG := root.Derive(0x6d6f7665)            // "move"
+	taskRNG := root.Derive(0x7461736b)            // "task"
+	radioKey := simrand.Key(cfg.Seed, 0x72616469) // "radi"
+	solveRNG := root.Derive(0x736f6c76)           // "solv"
 
 	em := newEpochMetrics(cfg.Metrics)
+	var dm *deltaMetrics
+	dcfg := delta.Config{FullEvery: 1}
+	if cfg.Delta != nil {
+		dm = newDeltaMetrics(cfg.Metrics)
+		dcfg = *cfg.Delta
+	}
 
 	sched := cfg.Scheduler
 	var ttsa *core.TTSA
@@ -299,14 +309,13 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Epochs: make([]EpochMetrics, 0, cfg.Epochs)}
-	// prevSlots maps population user -> (server, channel) from the
-	// previous epoch's decision, Local when not offloaded.
-	prevSlots := make([][2]int, cfg.Params.NumUsers)
-	for i := range prevSlots {
-		prevSlots[i] = [2]int{assign.Local, assign.Local}
-	}
+	// One chain over the population: row cache, positions and the carried
+	// decision, keyed by population index. It never evicts, so
+	// classification stays history-free.
+	st := delta.NewState[int](dcfg)
+	row := simrand.Stream(0)
 
+	res := &Result{Epochs: make([]EpochMetrics, 0, cfg.Epochs)}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if epoch > 0 {
 			if err := pop.Step(cfg.EpochSeconds); err != nil {
@@ -330,6 +339,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		if len(active) == 0 {
+			st.Skip(false)
 			res.Epochs = append(res.Epochs, em.observe(EpochMetrics{
 				Epoch:           epoch,
 				DownServers:     len(down),
@@ -338,10 +348,44 @@ func Run(cfg Config) (*Result, error) {
 			continue
 		}
 
-		// The scenario is built even for degraded epochs so the task and
-		// channel draw sequences stay aligned with a fault-free run of the
-		// same seed.
-		sc, err := buildEpochScenario(cfg.Params, sites, pop, active, taskRNG, radioRNG)
+		positions := make([]geom.Point, len(active))
+		for i, u := range active {
+			positions[i] = pop.Position(u)
+		}
+		pos := func(i int) geom.Point { return positions[i] }
+		tasks, err := cfg.Params.Workload.Generate(len(active), taskRNG)
+		if err != nil {
+			return nil, fmt.Errorf("dynamic: epoch %d: %w", epoch, err)
+		}
+		userRNG := func(i int) *simrand.Source {
+			row.Rekey(simrand.Key(radioKey, uint64(epoch), uint64(active[i])))
+			return row
+		}
+		gain := radio.NewTensorBuffer(len(active), cfg.Params.NumServers, cfg.Params.NumChannels)
+
+		var plan delta.Plan
+		if coordDown {
+			// The rows of a degraded epoch are drawn from this epoch's
+			// streams without touching the chain state, so later epochs
+			// stay threshold-independent.
+			for i := range active {
+				if err := gain.RefreshUser(cfg.Params.PathLoss, i, positions[i], sites, userRNG(i)); err != nil {
+					return nil, fmt.Errorf("dynamic: epoch %d: %w", epoch, err)
+				}
+			}
+		} else {
+			downSet := make(map[int]bool, len(down))
+			for _, s := range down {
+				downSet[s] = true
+			}
+			// A user parked on a failed server is evacuated by the mask and
+			// must be re-placed, so the plan forces it dirty.
+			plan = st.Plan(epoch, active, pos, func(s int) bool { return downSet[s] })
+			if _, err := st.Gains(plan, active, gain, cfg.Params.PathLoss, sites, pos, userRNG); err != nil {
+				return nil, fmt.Errorf("dynamic: epoch %d: %w", epoch, err)
+			}
+		}
+		sc, err := assembleEpochScenario(cfg.Params, sites, positions, tasks, gain)
 		if err != nil {
 			return nil, fmt.Errorf("dynamic: epoch %d: %w", epoch, err)
 		}
@@ -349,16 +393,15 @@ func Run(cfg Config) (*Result, error) {
 		if coordDown {
 			// Coordinator outage: graceful degradation. Every active user
 			// runs its task locally (the device-side fallback of
-			// cran.DialResilient); no scheduling happens and the previous
-			// decision is lost with the coordinator's state.
+			// cran.DialResilient) and the incumbent is lost with the
+			// coordinator's state, forcing the next solved epoch to a full
+			// solve.
 			allLocal, err := assign.New(sc.U(), sc.S(), sc.N())
 			if err != nil {
 				return nil, fmt.Errorf("dynamic: epoch %d: %w", epoch, err)
 			}
 			rep := objective.New(sc).Evaluate(allLocal)
-			for i := range prevSlots {
-				prevSlots[i] = [2]int{assign.Local, assign.Local}
-			}
+			st.Skip(true)
 			res.Epochs = append(res.Epochs, em.observe(EpochMetrics{
 				Epoch:           epoch,
 				Active:          len(active),
@@ -371,22 +414,31 @@ func Run(cfg Config) (*Result, error) {
 			continue
 		}
 
-		var solveRes solver.Result
-		warm := false
+		// A full epoch starts cold, or from the carried decision when warm
+		// starting and it offloads someone. A repair epoch starts from the
+		// carried decision and anneals only the dirty users. Either way
+		// the failed servers are masked out and their occupants evacuated.
 		epochRNG := solveRNG.Derive(uint64(epoch))
 		var initial *assign.Assignment
-		if cfg.WarmStart && ttsa != nil {
-			initial = warmStart(sc, active, prevSlots)
-			warm = initial != nil
+		if !plan.Full || cfg.WarmStart {
+			if initial, err = st.Incumbent(sc, active); err != nil {
+				return nil, fmt.Errorf("dynamic: epoch %d: %w", epoch, err)
+			}
+			if plan.Full && initial.Offloaded() == 0 {
+				initial = nil // nothing to warm-start from
+			}
 		}
-		// Mask the failed servers out of the search; warm-started
-		// occupants are evacuated to local execution and re-placed by the
-		// solve.
+		warm := plan.Full && initial != nil
 		initial, evacuated, err := maskDown(sc, initial, down)
 		if err != nil {
 			return nil, fmt.Errorf("dynamic: epoch %d: %w", epoch, err)
 		}
+		var solveRes solver.Result
+		incumbentJ := 0.0
 		switch {
+		case !plan.Full:
+			incumbentJ = objective.New(sc).SystemUtility(initial)
+			solveRes, err = st.Repair(sc, epochRNG, ttsa, initial, plan.Dirty)
 		case pf != nil:
 			// The portfolio's SolveFrom handles both cold (nil initial)
 			// and warm/masked starts; every chain inherits the initial
@@ -403,18 +455,10 @@ func Run(cfg Config) (*Result, error) {
 		if err := solver.Verify(sc, solveRes); err != nil {
 			return nil, fmt.Errorf("dynamic: epoch %d: %w", epoch, err)
 		}
-
-		// Record the decision for the next epoch's warm start.
-		for i := range prevSlots {
-			prevSlots[i] = [2]int{assign.Local, assign.Local}
-		}
-		for idx, u := range active {
-			s, j := solveRes.Assignment.SlotOf(idx)
-			prevSlots[u] = [2]int{s, j}
-		}
+		st.Commit(active, solveRes.Assignment)
 
 		rep := objective.New(sc).Evaluate(solveRes.Assignment)
-		res.Epochs = append(res.Epochs, em.observe(EpochMetrics{
+		e := EpochMetrics{
 			Epoch:       epoch,
 			Active:      len(active),
 			Offloaded:   solveRes.Assignment.Offloaded(),
@@ -426,10 +470,15 @@ func Run(cfg Config) (*Result, error) {
 			WarmStarted: warm,
 			DownServers: len(down),
 			Evacuated:   evacuated,
-		}))
+		}
+		if cfg.Delta != nil {
+			e.DeltaFull, e.DeltaReason = plan.Full, plan.Reason
+			e.DeltaDirty, e.DeltaIncumbent = plan.Rows(len(active)), incumbentJ
+		}
+		res.Epochs = append(res.Epochs, em.observe(dm.observe(e)))
 	}
 
-	res.summarize(cfg.Params.NumServers, false)
+	res.summarize(cfg.Params.NumServers, cfg.Delta != nil)
 	if pf != nil {
 		res.MemberTotals = pf.MemberTotals()
 	}
@@ -469,27 +518,8 @@ func (r *Result) summarize(numServers int, delta bool) {
 	r.CoordinatorAvailability /= n
 }
 
-// buildEpochScenario assembles the static snapshot of the active users at
-// their current positions with a fresh channel realization.
-func buildEpochScenario(p scenario.Params, sites []geom.Point, pop *mobility.Population, active []int, taskRNG, radioRNG *simrand.Source) (*scenario.Scenario, error) {
-	positions := make([]geom.Point, len(active))
-	for i, u := range active {
-		positions[i] = pop.Position(u)
-	}
-	tasks, err := p.Workload.Generate(len(active), taskRNG)
-	if err != nil {
-		return nil, err
-	}
-	gain, err := radio.NewGainTensor(p.PathLoss, positions, sites, p.NumChannels, radioRNG)
-	if err != nil {
-		return nil, err
-	}
-	return assembleEpochScenario(p, sites, positions, tasks, gain)
-}
-
-// assembleEpochScenario packages pre-drawn positions, tasks, and gains
-// into a finalized scenario — the shared tail of the full and delta epoch
-// builders.
+// assembleEpochScenario packages an epoch's positions, tasks, and gains
+// into a finalized scenario.
 func assembleEpochScenario(p scenario.Params, sites []geom.Point, positions []geom.Point, tasks []task.Task, gain radio.GainTensor) (*scenario.Scenario, error) {
 	servers := make([]scenario.Server, len(sites))
 	for i, pos := range sites {
@@ -523,19 +553,6 @@ func assembleEpochScenario(p scenario.Params, sites []geom.Point, positions []ge
 		return nil, err
 	}
 	return sc, nil
-}
-
-// warmStart builds an initial decision for the epoch scenario from the
-// previous epoch's slots (delta.Carry over the still-active users).
-// Returns nil when nothing carries over.
-func warmStart(sc *scenario.Scenario, active []int, prevSlots [][2]int) *assign.Assignment {
-	a, err := delta.Carry(sc, func(i int) (int, int) {
-		return prevSlots[active[i]][0], prevSlots[active[i]][1]
-	})
-	if err != nil || a.Offloaded() == 0 {
-		return nil
-	}
-	return a
 }
 
 // maskDown masks the failed servers out of the initial decision (an
@@ -624,6 +641,41 @@ func (m *epochMetrics) observe(e EpochMetrics) EpochMetrics {
 		m.utility.Observe(e.Utility)
 		m.solve.Observe(e.SolveTime.Seconds())
 	}
+	return e
+}
+
+// deltaMetrics streams the delta-path epoch classification into the
+// registry: full vs repair epochs by reason, and refreshed row counts.
+type deltaMetrics struct {
+	full   *obs.Counter
+	repair *obs.Counter
+	dirty  *obs.Counter
+}
+
+func newDeltaMetrics(reg *obs.Registry) *deltaMetrics {
+	if reg == nil {
+		return nil
+	}
+	return &deltaMetrics{
+		full: reg.Counter("tsajs_replay_delta_full_epochs_total",
+			"Delta-path epochs that fell back to a full solve."),
+		repair: reg.Counter("tsajs_replay_delta_repair_epochs_total",
+			"Delta-path epochs solved by a scoped repair anneal."),
+		dirty: reg.Counter("tsajs_replay_delta_dirty_rows_total",
+			"Gain-tensor rows refreshed by the delta path."),
+	}
+}
+
+func (m *deltaMetrics) observe(e EpochMetrics) EpochMetrics {
+	if m == nil {
+		return e
+	}
+	if e.DeltaFull {
+		m.full.Inc()
+	} else {
+		m.repair.Inc()
+	}
+	m.dirty.Add(uint64(e.DeltaDirty))
 	return e
 }
 

@@ -7,6 +7,11 @@
 // for independent trials are derived with Derive, which mixes the parent
 // seed with a label using SplitMix64 so that trial i of experiment A never
 // shares a stream with trial i of experiment B.
+//
+// Per-row channel gains use keyed streams instead: Key computes the seed
+// Derive would give a labelled stream, and Stream draws from that key with a
+// bare SplitMix64 counter. A Stream source is cheap to start and Rekey
+// restarts it in place, so one source can draw every (epoch, user) row.
 package simrand
 
 import (
@@ -20,6 +25,8 @@ import (
 type Source struct {
 	rng  *rand.Rand
 	seed uint64
+	// ctr backs rng for Stream sources; nil for New sources.
+	ctr *counter
 }
 
 // New returns a Source seeded with seed.
@@ -30,6 +37,37 @@ func New(seed uint64) *Source {
 	}
 }
 
+// Stream returns a source keyed by key (see Key) that draws from a
+// SplitMix64 counter: its state starts at splitMix64(key) and each draw adds
+// the golden gamma and mixes. Unlike New it builds no seeding table, so
+// starting a stream costs nothing beyond the first draw. Its draws differ
+// from New(key)'s.
+func Stream(key uint64) *Source {
+	s := &Source{seed: key, ctr: &counter{state: splitMix64(key)}}
+	s.rng = rand.New(s.ctr)
+	return s
+}
+
+// Rekey restarts a Stream source in place as Stream(key) would start it,
+// without allocating. It panics on a source made by New or Derive.
+func (s *Source) Rekey(key uint64) {
+	if s.ctr == nil {
+		panic("simrand: Rekey on a source not made by Stream")
+	}
+	s.seed = key
+	s.ctr.state = splitMix64(key)
+}
+
+// Key returns the seed of the stream seed derives through labels in turn,
+// without building any source: Key(s.Seed(), a, b) equals
+// s.Derive(a).Derive(b).Seed().
+func Key(seed uint64, labels ...uint64) uint64 {
+	for _, l := range labels {
+		seed = splitMix64(seed ^ splitMix64(l))
+	}
+	return seed
+}
+
 // Seed returns the seed this source was created from.
 func (s *Source) Seed() uint64 { return s.seed }
 
@@ -37,7 +75,7 @@ func (s *Source) Seed() uint64 { return s.seed }
 // combines this source's seed with the given label. Use distinct labels for
 // distinct purposes (e.g. one per trial, one per subsystem).
 func (s *Source) Derive(label uint64) *Source {
-	return New(splitMix64(s.seed ^ splitMix64(label)))
+	return New(Key(s.seed, label))
 }
 
 // Float64 returns a uniform sample in [0, 1).
@@ -80,8 +118,25 @@ func (s *Source) UniformDisc(radius float64) (x, y float64) {
 // splitMix64 is the SplitMix64 mixing function; it turns correlated seeds
 // into statistically independent ones.
 func splitMix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+	x += golden
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
+
+// golden is SplitMix64's increment, the golden-ratio gamma.
+const golden = 0x9e3779b97f4a7c15
+
+// counter is the SplitMix64 generator behind Stream sources, as a
+// math/rand Source64.
+type counter struct{ state uint64 }
+
+func (c *counter) Uint64() uint64 {
+	x := splitMix64(c.state)
+	c.state += golden
+	return x
+}
+
+func (c *counter) Int63() int64 { return int64(c.Uint64() >> 1) }
+
+func (c *counter) Seed(seed int64) { c.state = splitMix64(uint64(seed)) }

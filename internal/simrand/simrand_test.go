@@ -5,14 +5,81 @@ import (
 	"testing"
 )
 
+// constructors are the two ways to start a source from a seed; the
+// distribution tests run over both.
+var constructors = []struct {
+	name string
+	make func(seed uint64) *Source
+}{
+	{"New", New},
+	{"Stream", Stream},
+}
+
 func TestDeterminism(t *testing.T) {
-	a := New(42)
-	b := New(42)
-	for i := 0; i < 100; i++ {
-		if a.Float64() != b.Float64() {
-			t.Fatalf("same seed diverged at draw %d", i)
+	for _, c := range constructors {
+		a := c.make(42)
+		b := c.make(42)
+		for i := 0; i < 100; i++ {
+			if a.Float64() != b.Float64() {
+				t.Fatalf("%s: same seed diverged at draw %d", c.name, i)
+			}
 		}
 	}
+}
+
+func TestKeyMatchesDerive(t *testing.T) {
+	s := New(11)
+	for _, l := range []uint64{0, 1, 0xc51, 1 << 63} {
+		if got, want := Key(s.Seed(), l), s.Derive(l).Seed(); got != want {
+			t.Errorf("Key(%d, %d) = %d, Derive gives %d", s.Seed(), l, got, want)
+		}
+	}
+	if got, want := Key(s.Seed(), 3, 4), s.Derive(3).Derive(4).Seed(); got != want {
+		t.Errorf("Key over two labels = %d, chained Derive gives %d", got, want)
+	}
+	if Key(5) != 5 {
+		t.Error("Key with no labels changed the seed")
+	}
+}
+
+func TestRekeyRestartsStream(t *testing.T) {
+	s := Stream(1)
+	for i := 0; i < 7; i++ {
+		s.Normal(0, 1)
+	}
+	for _, k := range []uint64{1, 2, 99} {
+		s.Rekey(k)
+		fresh := Stream(k)
+		if s.Seed() != k {
+			t.Errorf("Rekey(%d): Seed() = %d", k, s.Seed())
+		}
+		for i := 0; i < 50; i++ {
+			if a, b := s.LogNormalDB(8), fresh.LogNormalDB(8); a != b {
+				t.Fatalf("Rekey(%d) diverged from Stream(%d) at draw %d: %g vs %g", k, k, i, a, b)
+			}
+		}
+	}
+}
+
+func TestRekeyAllocationFree(t *testing.T) {
+	s := Stream(1)
+	k := uint64(0)
+	if n := testing.AllocsPerRun(100, func() {
+		k++
+		s.Rekey(Key(k, 7, 9))
+		s.LogNormalDB(8)
+	}); n != 0 {
+		t.Errorf("Rekey + draw allocated %g times per run", n)
+	}
+}
+
+func TestRekeyRejectsSeededSource(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Rekey on a New source did not panic")
+		}
+	}()
+	New(1).Rekey(2)
 }
 
 func TestSeedsDiffer(t *testing.T) {
@@ -112,46 +179,50 @@ func TestShuffle(t *testing.T) {
 }
 
 func TestNormalMoments(t *testing.T) {
-	rng := New(7)
-	const n = 50000
-	const mean, std = 3.0, 2.0
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := rng.Normal(mean, std)
-		sum += v
-		sumSq += v * v
-	}
-	gotMean := sum / n
-	gotVar := sumSq/n - gotMean*gotMean
-	if math.Abs(gotMean-mean) > 0.05 {
-		t.Errorf("normal mean = %g, want %g", gotMean, mean)
-	}
-	if math.Abs(math.Sqrt(gotVar)-std) > 0.05 {
-		t.Errorf("normal std = %g, want %g", math.Sqrt(gotVar), std)
+	for _, c := range constructors {
+		rng := c.make(7)
+		const n = 50000
+		const mean, std = 3.0, 2.0
+		sum, sumSq := 0.0, 0.0
+		for i := 0; i < n; i++ {
+			v := rng.Normal(mean, std)
+			sum += v
+			sumSq += v * v
+		}
+		gotMean := sum / n
+		gotVar := sumSq/n - gotMean*gotMean
+		if math.Abs(gotMean-mean) > 0.05 {
+			t.Errorf("%s: normal mean = %g, want %g", c.name, gotMean, mean)
+		}
+		if math.Abs(math.Sqrt(gotVar)-std) > 0.05 {
+			t.Errorf("%s: normal std = %g, want %g", c.name, math.Sqrt(gotVar), std)
+		}
 	}
 }
 
 func TestLogNormalDB(t *testing.T) {
-	rng := New(8)
-	if v := rng.LogNormalDB(0); v != 1 {
-		t.Errorf("LogNormalDB(0) = %g, want exactly 1", v)
-	}
-	// The dB values of samples must be Gaussian with the requested std.
-	const n = 50000
-	const stdDB = 8.0
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		db := 10 * math.Log10(rng.LogNormalDB(stdDB))
-		sum += db
-		sumSq += db * db
-	}
-	gotMean := sum / n
-	gotStd := math.Sqrt(sumSq/n - gotMean*gotMean)
-	if math.Abs(gotMean) > 0.15 {
-		t.Errorf("shadowing mean = %g dB, want 0", gotMean)
-	}
-	if math.Abs(gotStd-stdDB) > 0.15 {
-		t.Errorf("shadowing std = %g dB, want %g", gotStd, stdDB)
+	for _, c := range constructors {
+		rng := c.make(8)
+		if v := rng.LogNormalDB(0); v != 1 {
+			t.Errorf("%s: LogNormalDB(0) = %g, want exactly 1", c.name, v)
+		}
+		// The dB values of samples must be Gaussian with the requested std.
+		const n = 50000
+		const stdDB = 8.0
+		sum, sumSq := 0.0, 0.0
+		for i := 0; i < n; i++ {
+			db := 10 * math.Log10(rng.LogNormalDB(stdDB))
+			sum += db
+			sumSq += db * db
+		}
+		gotMean := sum / n
+		gotStd := math.Sqrt(sumSq/n - gotMean*gotMean)
+		if math.Abs(gotMean) > 0.15 {
+			t.Errorf("%s: shadowing mean = %g dB, want 0", c.name, gotMean)
+		}
+		if math.Abs(gotStd-stdDB) > 0.15 {
+			t.Errorf("%s: shadowing std = %g dB, want %g", c.name, gotStd, stdDB)
+		}
 	}
 }
 
