@@ -77,7 +77,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		pfMode  = fs.String("portfolio", "fixed", "portfolio budget allocation: fixed (round-robin, bit-identical across worker counts) or adaptive (online bandit selector; requires -chains > 1)")
 		members = fs.String("members", "", "comma-separated portfolio member roster (ttsa, ttsa-fast, ttsa-wide, attract, hjtora, greedy, cheap); empty = homogeneous ttsa, or the diverse default under -portfolio adaptive")
 
-		deltaOn     = fs.Bool("delta", false, "incremental delta-epoch solving: refresh only moved users' gain rows and repair-anneal around the previous epoch (incompatible with -brownout)")
+		deltaOn     = fs.Bool("delta", false, "incremental delta-epoch solving: refresh only moved users' gain rows and repair-anneal around the previous epoch")
 		deltaThresh = fs.Float64("delta-threshold-km", 0.05, "movement that marks a user dirty [km] (0 = every user, every epoch)")
 		deltaEvery  = fs.Int("delta-full-every", 0, "force a full solve every N epochs (0 = library default)")
 

@@ -186,9 +186,6 @@ func TestCoordinatorRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-router", "-shard-addrs", "127.0.0.1:1,,127.0.0.1:2"}, &sb, make(chan struct{})); err == nil {
 		t.Error("empty shard address accepted")
 	}
-	if err := run([]string{"-delta", "-brownout"}, &sb, make(chan struct{})); err == nil {
-		t.Error("-delta with -brownout accepted")
-	}
 }
 
 // TestCoordinatorDeltaFlag serves two epochs in delta mode through the

@@ -134,7 +134,7 @@ func run(args []string, stdout io.Writer) error {
 		brownout   = fs.Bool("brownout", false, "self-host: enable brownout solver degradation under queue pressure")
 		chaos      = fs.Duration("chaos", 0, "self-host: inject this solver delay into every epoch (0 = none)")
 
-		deltaOn     = fs.Bool("delta", false, "self-host: incremental delta-epoch solving (incompatible with -brownout)")
+		deltaOn     = fs.Bool("delta", false, "self-host: incremental delta-epoch solving")
 		deltaThresh = fs.Float64("delta-threshold-km", 0.05, "self-host: movement that marks a user dirty [km] (0 = every user, every epoch)")
 
 		chains  = fs.Int("chains", 0, "self-host: solve every full-quality epoch as a K-chain portfolio (0/1 = single TTSA chain)")

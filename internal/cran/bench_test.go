@@ -37,7 +37,10 @@ func BenchmarkServeEpoch(b *testing.B) {
 		ps[i] = pending{req: reqs[i], reply: make(chan OffloadResponse, 1)}
 	}
 	w := srv.newSolveWorker()
+	// The network-wide chain: the epoch solves the whole network.
+	ch := srv.chains[0]
 	eb := epochBatch{
+		ch:        ch,
 		epoch:     1,
 		batch:     ps,
 		collected: time.Now(),
@@ -49,8 +52,8 @@ func BenchmarkServeEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Re-derive the same streams each iteration so every epoch solve is
 		// bit-identical; the derivation cost is part of the serving path.
-		eb.solveRNG = srv.rng.Derive(eb.epoch)
-		eb.gainKey = simrand.Key(srv.rng.Seed(), eb.epoch^gainStreamLabel)
+		eb.solveRNG = ch.base.Derive(eb.epoch)
+		eb.gainKey = simrand.Key(ch.base.Seed(), eb.epoch^gainStreamLabel)
 		w.solveEpoch(eb)
 		for j := range ps {
 			resp := <-ps[j].reply
@@ -97,7 +100,9 @@ func BenchmarkServeEpochDegraded(b *testing.B) {
 				ps[i] = pending{req: reqs[i], reply: make(chan OffloadResponse, 1)}
 			}
 			w := srv.newSolveWorker()
+			ch := srv.chains[0]
 			eb := epochBatch{
+				ch:        ch,
 				epoch:     1,
 				batch:     ps,
 				collected: time.Now(),
@@ -108,8 +113,8 @@ func BenchmarkServeEpochDegraded(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eb.solveRNG = srv.rng.Derive(eb.epoch)
-				eb.gainKey = simrand.Key(srv.rng.Seed(), eb.epoch^gainStreamLabel)
+				eb.solveRNG = ch.base.Derive(eb.epoch)
+				eb.gainKey = simrand.Key(ch.base.Seed(), eb.epoch^gainStreamLabel)
 				w.solveEpoch(eb)
 				for j := range ps {
 					resp := <-ps[j].reply

@@ -383,7 +383,7 @@ func TestDeltaPartitionedServing(t *testing.T) {
 // out-of-order acquires block until earlier epochs advance or are
 // skipped, and close releases every waiter with a shutdown verdict.
 func TestDeltaChainSequencer(t *testing.T) {
-	ch := newDeltaChain(delta.Config{})
+	ch := newChain(-1, nil, &delta.Config{}, nil)
 	order := make(chan uint64, 3)
 	var wg sync.WaitGroup
 	for _, e := range []uint64{3, 2, 1} {
@@ -450,17 +450,5 @@ func TestDeltaServingCadence(t *testing.T) {
 			t.Errorf("chain epoch %d: full=%v, want %v", e, gotFull, wantFull)
 		}
 		fulls = st.DeltaFullEpochs
-	}
-}
-
-// TestDeltaRejectsBrownout: the two features are mutually exclusive.
-func TestDeltaRejectsBrownout(t *testing.T) {
-	cfg := ServerConfig{
-		Params:   deltaDiffParams(),
-		Delta:    &delta.Config{MoveThresholdKm: 0.02},
-		Brownout: BrownoutConfig{Enabled: true},
-	}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("delta+brownout accepted")
 	}
 }

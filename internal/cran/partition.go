@@ -2,11 +2,8 @@ package cran
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"github.com/tsajs/tsajs/internal/geom"
-	"github.com/tsajs/tsajs/internal/simrand"
 )
 
 // PartitionConfig turns a coordinator into one shard of a multi-coordinator
@@ -86,52 +83,4 @@ func (s *Server) partitionCell(req OffloadRequest) (cell int, resp OffloadRespon
 		}, false
 	}
 	return cell, OffloadResponse{}, true
-}
-
-// enqueueCellEpochs is the partitioned collector flush: the batch is split
-// by cell and each cell becomes its own epoch on the solve queue, with the
-// cell's epoch counter and RNG streams stamped here in the collector
-// goroutine. Cells are flushed in ascending cell order and requests keep
-// their arrival order within a cell (the solver re-sorts by user ID anyway,
-// making decisions independent of arrival interleaving).
-//
-// The brownout tier is observed once per flush — one queue-depth sample per
-// collector wakeup, exactly like the unpartitioned path — and stamped on
-// every cell epoch of the flush.
-func (s *Server) enqueueCellEpochs(batch []pending) {
-	tier := s.brownout.observe(len(s.solveQ))
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].cell < batch[j].cell })
-	now := time.Now()
-	for start := 0; start < len(batch); {
-		end := start
-		cell := batch[start].cell
-		for end < len(batch) && batch[end].cell == cell {
-			end++
-		}
-		s.cellEpochs[cell]++
-		epoch := s.cellEpochs[cell]
-		base := s.cellRNG[cell]
-		eb := epochBatch{
-			epoch:     epoch,
-			cell:      cell,
-			batch:     batch[start:end:end],
-			tier:      tier,
-			solveRNG:  base.Derive(epoch),
-			gainKey:   simrand.Key(base.Seed(), epoch^gainStreamLabel),
-			collected: now,
-		}
-		eb.plan = s.planEpoch(cell, epoch, tier, eb.solveRNG)
-		select {
-		case s.solveQ <- eb:
-			s.stats.queueDepth.Set(float64(len(s.solveQ)))
-		default:
-			s.stats.epochRejected()
-			// A rejected cell epoch never reaches a worker: unblock the
-			// cell's delta chain and record the skip with its selector.
-			s.deltaSkip(eb.epoch, eb.cell)
-			s.skipPlan(eb)
-			s.failBatch(eb.batch, CodeQueueFull, ErrQueueFull.Error())
-		}
-		start = end
-	}
 }

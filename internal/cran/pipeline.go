@@ -11,11 +11,10 @@ import (
 	"sync"
 	"time"
 
-	"github.com/tsajs/tsajs/internal/baseline"
-	"github.com/tsajs/tsajs/internal/core"
+	"github.com/tsajs/tsajs/internal/assign"
+	"github.com/tsajs/tsajs/internal/delta"
 	"github.com/tsajs/tsajs/internal/geom"
 	"github.com/tsajs/tsajs/internal/objective"
-	"github.com/tsajs/tsajs/internal/portfolio"
 	"github.com/tsajs/tsajs/internal/radio"
 	"github.com/tsajs/tsajs/internal/scenario"
 	"github.com/tsajs/tsajs/internal/simrand"
@@ -35,17 +34,15 @@ const gainStreamLabel = 0xc51
 
 // epochBatch is one collected epoch in flight between the batch collector
 // and a solver worker. The epoch number, the solver stream and the gain key
-// are stamped at enqueue time: both depend only on the parent seed, so
-// stamping at collection is bit-identical to deriving at solve time, and
-// per-epoch results do not depend on which worker solves the batch or when.
+// are stamped at enqueue time (chain.stamp): they depend only on the
+// chain's seed, so stamping at collection is bit-identical to deriving at
+// solve time, and per-epoch results do not depend on which worker solves
+// the batch or when.
 type epochBatch struct {
-	epoch uint64
-	// cell is the single cell this epoch schedules on partitioned
-	// coordinators (every request in the batch resolved to it at admission);
-	// -1 on unpartitioned coordinators, where one epoch spans the whole
-	// network. Partitioned epochs solve a one-site scenario and epoch numbers
-	// count per cell, not per coordinator.
-	cell     int
+	// ch is the chain the epoch belongs to. A cell's epoch solves a
+	// one-site scenario, and epoch numbers count per chain.
+	ch       *chain
+	epoch    uint64
 	batch    []pending
 	tier     epochTier
 	solveRNG *simrand.Source
@@ -53,11 +50,10 @@ type epochBatch struct {
 	// from simrand.Stream(simrand.Key(gainKey, fnv64(u))).
 	gainKey   uint64
 	collected time.Time
-	// plan, when non-nil, routes this full-tier epoch through the
-	// heterogeneous portfolio: slot i runs roster member plan[i]. Stamped
-	// in the collector (fixed round-robin, or the adaptive selector's
-	// allocation); nil epochs dispatch to the single-chain tier solvers as
-	// before the portfolio existed.
+	// plan, when non-nil, routes this full-tier epoch, if it solves in
+	// full, through the heterogeneous portfolio: slot i runs roster member
+	// plan[i]. Stamped in the collector (fixed round-robin, or the adaptive
+	// selector's allocation); nil epochs dispatch to their tier's scheduler.
 	plan []int
 	// dequeued is stamped by the solver worker when it picks the epoch up —
 	// after any injected chaos delay, immediately before the expiry filter.
@@ -66,32 +62,43 @@ type epochBatch struct {
 	dequeued time.Time
 }
 
-// solveWorker is one epoch-solving goroutine. Each worker owns its own TTSA
-// instance and a private set of reusable epoch buffers (user and position
-// slices, the gain-tensor backing array, the gain row stream, one Scenario
-// value whose derived tables Finalize recycles), so workers solve
-// concurrently without sharing mutable state and the steady-state epoch
-// path stops allocating once the scratch has grown to the configured
-// MaxBatch.
+// skipPlan tells the epoch's selector that a planned epoch produced no
+// outcomes (shed, expired, failed, repaired, or aborted by shutdown). No-op
+// for unplanned epochs and in fixed mode; duplicate skips are ignored by
+// the selector, so racing a recovered panic against shutdown is safe.
+func (eb epochBatch) skipPlan() {
+	if eb.plan != nil && eb.ch.sel != nil {
+		eb.ch.sel.Skip(eb.epoch)
+	}
+}
+
+// commitPlan delivers a planned epoch's member outcomes to its selector.
+func (eb epochBatch) commitPlan(outcomes []solver.MemberOutcome) {
+	if eb.plan != nil && outcomes != nil && eb.ch.sel != nil {
+		eb.ch.sel.Commit(eb.epoch, outcomes)
+	}
+}
+
+// solveWorker is one epoch-solving goroutine. Workers share the server's
+// stateless schedulers; each owns a private set of reusable epoch buffers
+// (user, position and ID slices, the gain-tensor backing array, the gain
+// row stream, one Scenario value whose derived tables Finalize recycles),
+// so workers solve concurrently without sharing mutable state and the
+// steady-state epoch path stops allocating once the scratch has grown to
+// the configured MaxBatch.
 type solveWorker struct {
-	srv           *Server
-	ttsa          *core.TTSA
-	ttsaTruncated *core.TTSA
-	cheap         *baseline.Cheap
-	pf            *portfolio.Portfolio
+	srv *Server
 
 	users     []scenario.User
 	positions []geom.Point
+	ids       []string
 	gainBuf   []float64
 	row       *simrand.Source
 	sc        scenario.Scenario
 }
 
 func (s *Server) newSolveWorker() *solveWorker {
-	return &solveWorker{
-		srv: s, ttsa: s.ttsa, ttsaTruncated: s.ttsaTruncated, cheap: s.cheap, pf: s.pf,
-		row: simrand.Stream(0),
-	}
+	return &solveWorker{srv: s, row: simrand.Stream(0)}
 }
 
 // rowStream re-keys the worker's row stream to user i's gain stream for the
@@ -125,24 +132,24 @@ func (w *solveWorker) loop() {
 		s.stats.queueDepth.Set(float64(len(s.solveQ)))
 		select {
 		case <-s.quit:
-			s.skipPlan(eb)
+			eb.skipPlan()
 			s.failBatch(eb.batch, CodeShutdown, "coordinator shutting down")
 			continue
 		default:
 		}
 		started := time.Now()
 		if !s.chaosDelay(eb.epoch, started) {
-			s.skipPlan(eb)
+			eb.skipPlan()
 			s.failBatch(eb.batch, CodeShutdown, "coordinator shutting down")
 			continue
 		}
-		// Delta serving: epochs of one chain mutate shared cache state, so
-		// the worker must own the chain for its stamped epoch number before
-		// touching the batch — acquire blocks until every earlier epoch of
-		// the chain was solved or skipped, and advance releases it whatever
-		// happened in between (an expired-empty epoch included).
-		ch := s.deltaChainFor(eb.cell)
-		if ch != nil && !ch.acquire(eb.epoch) {
+		// A delta chain's epochs mutate its state, so the worker must own
+		// the chain for its stamped epoch number before touching the batch —
+		// acquire blocks until every earlier epoch of the chain was solved
+		// or skipped, and advance releases it whatever happened in between
+		// (an expired-empty epoch included). Both are no-ops on chains
+		// without state.
+		if !eb.ch.acquire(eb.epoch) {
 			s.failBatch(eb.batch, CodeShutdown, "coordinator shutting down")
 			continue
 		}
@@ -153,19 +160,15 @@ func (w *solveWorker) loop() {
 		eb.dequeued = time.Now()
 		eb.batch = w.expireBatch(eb)
 		if len(eb.batch) == 0 {
-			if ch != nil {
-				ch.advance()
-			}
-			s.skipPlan(eb)
+			eb.ch.advance()
+			eb.skipPlan()
 			s.stats.epochExpired()
 			s.noteServiceTime(started)
 			continue
 		}
 		s.stats.inflight.Add(1)
 		w.solveEpochSafe(eb)
-		if ch != nil {
-			ch.advance()
-		}
+		eb.ch.advance()
 		s.stats.inflight.Add(-1)
 		s.noteServiceTime(started)
 	}
@@ -228,15 +231,30 @@ func (w *solveWorker) solveEpochSafe(eb epochBatch) {
 	defer func() {
 		if r := recover(); r != nil {
 			w.srv.stats.panicRecovered()
-			w.srv.skipPlan(eb)
-			w.srv.failBatch(eb.batch, CodeInternal, fmt.Sprintf("internal error: %v", r))
+			w.failEpoch(eb, fmt.Sprintf("internal error: %v", r))
 		}
 	}()
 	w.solveEpoch(eb)
 }
 
-// solveEpoch builds the epoch scenario from the batched requests, solves it
-// with TSAJS, and answers every request.
+// failEpoch fails an epoch the worker holds the chain for: the selector
+// records its plan as skipped, a delta state forgets its incumbent (the
+// next epoch full-solves), and every request is answered with msg.
+func (w *solveWorker) failEpoch(eb epochBatch, msg string) {
+	eb.skipPlan()
+	if st := eb.ch.state; st != nil {
+		st.Skip(true)
+	}
+	w.srv.failBatch(eb.batch, CodeInternal, msg)
+}
+
+// solveEpoch builds the epoch scenario from the batched requests, solves
+// it, and answers every request. The chain's delta state, when there is
+// one, plans the epoch: a full epoch redraws every gain row and calls
+// schedule; a repair epoch redraws the dirty rows only and anneals them
+// from the carried incumbent. Without state every epoch is full. A
+// brownout-degraded epoch is a full solve by its tier that the state does
+// not carry: the next epoch full-solves.
 func (w *solveWorker) solveEpoch(eb epochBatch) {
 	s := w.srv
 	if eb.tier == tierFull {
@@ -258,47 +276,81 @@ func (w *solveWorker) solveEpoch(eb epochBatch) {
 	slices.SortStableFunc(eb.batch, func(a, b pending) int {
 		return strings.Compare(a.req.UserID, b.req.UserID)
 	})
-	if ch := s.deltaChainFor(eb.cell); ch != nil {
-		// Delta-epoch serving: incremental scenario assembly and a scoped
-		// repair solve against the chain's cached state. The worker already
-		// owns the chain (acquired in loop).
-		w.solveDeltaEpoch(eb, ch)
-		return
-	}
-	p := s.cfg.Params
-	sc, err := w.buildScenario(eb, func(gain radio.GainTensor, sites []geom.Point) error {
+	pos := func(i int) geom.Point { return eb.batch[i].req.Pos }
+	rng := func(i int) *simrand.Source { return w.rowStream(eb, i) }
+	st := eb.ch.state
+	plan := delta.Plan{Full: true}
+	if st != nil {
+		w.ids = w.ids[:0]
 		for i := range eb.batch {
-			if err := gain.RefreshUser(p.PathLoss, i, w.positions[i], sites, w.rowStream(eb, i)); err != nil {
+			w.ids = append(w.ids, eb.batch[i].req.UserID)
+		}
+		if eb.tier != tierFull {
+			// Drop the incumbent first, so the plan is full (reason reset)
+			// and redraws every row.
+			st.Skip(true)
+		}
+		// Chain epochs count from 1; the cadence index counts from 0, so
+		// chain epochs 1, 1+FullEvery, ... are the cadence full solves.
+		plan = st.Plan(int(eb.epoch-1), w.ids, pos, nil)
+	}
+
+	p := s.cfg.Params
+	reused := 0
+	sc, err := w.buildScenario(eb, func(gain radio.GainTensor, sites []geom.Point) (err error) {
+		if st != nil {
+			reused, err = st.Gains(plan, w.ids, gain, p.PathLoss, sites, pos, rng)
+			return err
+		}
+		for i := range eb.batch {
+			if err := gain.RefreshUser(p.PathLoss, i, pos(i), sites, rng(i)); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		s.skipPlan(eb)
-		s.failBatch(eb.batch, CodeInternal, "epoch scenario: "+err.Error())
+		w.failEpoch(eb, "epoch scenario: "+err.Error())
 		return
 	}
-	res, outcomes, err := w.schedule(eb, sc)
+
+	var res solver.Result
+	var outcomes []solver.MemberOutcome
+	if plan.Full {
+		res, outcomes, err = w.schedule(eb, sc)
+	} else {
+		// The selector plans full epochs only.
+		eb.skipPlan()
+		var incumbent *assign.Assignment
+		if incumbent, err = st.Incumbent(sc, w.ids); err == nil {
+			res, err = st.Repair(sc, eb.solveRNG, s.ttsa, incumbent, plan.Dirty)
+		}
+	}
 	if err != nil {
-		s.skipPlan(eb)
-		s.failBatch(eb.batch, CodeInternal, "scheduling: "+err.Error())
+		w.failEpoch(eb, "scheduling: "+err.Error())
 		return
 	}
 	if err := solver.Verify(sc, res); err != nil {
-		s.skipPlan(eb)
-		s.failBatch(eb.batch, CodeInternal, "verification: "+err.Error())
+		w.failEpoch(eb, "verification: "+err.Error())
 		return
 	}
 	// Commit before answering: the selector's learning prefix must include
 	// this epoch before any later epoch's plan can depend on it.
-	s.commitPlan(eb, outcomes)
+	eb.commitPlan(outcomes)
+	if st != nil {
+		if eb.tier == tierFull {
+			st.Commit(w.ids, res.Assignment)
+		} else {
+			st.Skip(true)
+		}
+		st.Evict()
+		s.stats.deltaEpoch(plan.Full, plan.Rows(len(w.ids)), reused)
+	}
 	w.finishEpoch(eb, sc, res)
 }
 
 // finishEpoch evaluates the verified epoch result, records the epoch in the
-// stats, and answers every request of the batch — the shared tail of the
-// classic and delta solve paths.
+// stats, and answers every request of the batch.
 func (w *solveWorker) finishEpoch(eb epochBatch, sc *scenario.Scenario, res solver.Result) {
 	s := w.srv
 	rep := objective.New(sc).Evaluate(res.Assignment)
@@ -316,8 +368,8 @@ func (w *solveWorker) finishEpoch(eb epochBatch, sc *scenario.Scenario, res solv
 		// server index is always 0; the wire carries the global cell ID so
 		// clients see the same decision a whole-network coordinator returns.
 		srv := m.Server
-		if eb.cell >= 0 && m.Offloaded {
-			srv = eb.cell
+		if eb.ch.cell >= 0 && m.Offloaded {
+			srv = eb.ch.cell
 		}
 		s.reply(p, OffloadResponse{
 			Version:         ProtocolVersion,
@@ -335,47 +387,35 @@ func (w *solveWorker) finishEpoch(eb epochBatch, sc *scenario.Scenario, res solv
 	}
 }
 
-// schedule dispatches the epoch to the scheduler of its stamped quality
-// tier. The tier is decided at enqueue by the brownout controller; degraded
-// tiers exist only when brownout is enabled, which is also the only way a
-// non-full tier can be stamped. A full-tier epoch with a stamped plan runs
-// the heterogeneous portfolio and additionally returns the per-slot member
-// outcomes for the selector and telemetry; every other path returns nil
-// outcomes.
+// schedule solves a full epoch: through the portfolio when a plan is
+// stamped (returning the per-slot member outcomes for the selector and
+// telemetry), otherwise by the scheduler of the epoch's quality tier. The
+// tier is decided at enqueue by the brownout controller; only full-tier
+// epochs carry a plan.
 func (w *solveWorker) schedule(eb epochBatch, sc *scenario.Scenario) (solver.Result, []solver.MemberOutcome, error) {
-	switch eb.tier {
-	case tierTruncated:
-		res, err := w.ttsaTruncated.Schedule(sc, eb.solveRNG)
-		return res, nil, err
-	case tierCheap:
-		res, err := w.cheap.Schedule(sc, eb.solveRNG)
-		return res, nil, err
-	default:
-		if eb.plan != nil {
-			return w.pf.SolvePlan(sc, eb.solveRNG, nil, eb.plan)
-		}
-		res, err := w.ttsa.Schedule(sc, eb.solveRNG)
-		return res, nil, err
+	if eb.plan != nil {
+		return w.srv.pf.SolvePlan(sc, eb.solveRNG, nil, eb.plan)
 	}
+	res, err := w.srv.tiers[eb.tier].Schedule(sc, eb.solveRNG)
+	return res, nil, err
 }
 
 // buildScenario assembles a one-epoch scenario from the batch into the
 // worker's scratch buffers; fill writes every user's gain block into the
 // tensor, given the epoch's sites and the loaded positions (w.positions).
-// The full path draws each row from the coordinator's calibrated path-loss
-// model (the simulator stand-in for measured CSI) on the user's gain
-// stream; the delta path redraws dirty rows the same way and copies the
-// rest from the chain's row cache.
+// Each redrawn row comes from the coordinator's calibrated path-loss model
+// (the simulator stand-in for measured CSI) on the user's gain stream; a
+// delta repair copies the clean rows from the chain's row cache.
 func (w *solveWorker) buildScenario(eb epochBatch, fill func(gain radio.GainTensor, sites []geom.Point) error) (*scenario.Scenario, error) {
 	s := w.srv
 	p := s.cfg.Params
 	sites, servers := s.sites, s.servers
-	if eb.cell >= 0 {
+	if cell := eb.ch.cell; cell >= 0 {
 		// One-cell epoch: the scenario sees only the owning site, so the
 		// solve is exactly the whole-network problem restricted to this cell
 		// (the objective couples users only through their serving site).
-		sites = s.sites[eb.cell : eb.cell+1]
-		servers = s.servers[eb.cell : eb.cell+1]
+		sites = s.sites[cell : cell+1]
+		servers = s.servers[cell : cell+1]
 	}
 	n := len(eb.batch)
 	if cap(w.users) < n {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,10 +59,11 @@ type ServerConfig struct {
 	// Zero defaults to 256.
 	MaxConns int
 	// Workers is the number of solver workers draining the epoch queue.
-	// Each worker owns its own TTSA instance and reusable epoch scratch, so
-	// K workers solve up to K epochs concurrently while the collector keeps
-	// batching. Per-epoch results are bit-identical for every worker count
-	// (the epoch number and its RNG streams are stamped at enqueue time).
+	// Workers share the stateless schedulers and each owns its reusable
+	// epoch scratch, so K workers solve up to K epochs concurrently while
+	// the collector keeps batching. Per-epoch results are bit-identical for
+	// every worker count (the epoch number and its RNG streams are stamped
+	// at enqueue time).
 	// Zero defaults to GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds the solve queue between the batch collector and
@@ -99,30 +101,30 @@ type ServerConfig struct {
 	// cell epoch) — bit-identical decisions for any cluster size, worker
 	// count, or wire codec. See PartitionConfig and internal/shard.
 	Partition *PartitionConfig
-	// Portfolio, when non-nil, solves every full-quality epoch as a
-	// heterogeneous K-chain portfolio (internal/portfolio) instead of a
-	// single TTSA chain. With Adaptive set, each epoch's chain budget is
+	// Portfolio, when non-nil, solves every full-quality epoch that is not a
+	// delta repair as a heterogeneous K-chain portfolio (internal/portfolio)
+	// instead of a single TTSA chain. With Adaptive set, each epoch's chain budget is
 	// reallocated across the member roster by the deterministic UCB
 	// selector, fed by the outcomes of epochs at least QueueDepth+Workers+1
 	// behind — the structural bound on stamped-but-unfinished epochs — so
 	// plans are a pure function of (Seed, epoch, earlier outcomes) and
-	// bit-identical for every worker count. Brownout-degraded epochs keep
-	// the degradation ladder's truncated/cheap solvers (the selector skips
-	// them rather than fighting the ladder). Chains run sequentially on the
-	// owning solver worker (Workers here already parallelizes across
-	// epochs). Incompatible with Delta (a repair anneal manages its own
-	// incumbent).
+	// bit-identical for every worker count. The selector records the epochs
+	// the portfolio does not solve as skipped: brownout-degraded epochs
+	// (they keep the degradation ladder's truncated/cheap solvers) and
+	// delta repair epochs (a repair anneals from the carried incumbent).
+	// Chains run sequentially on the owning solver worker (Workers here
+	// already parallelizes across epochs).
 	Portfolio *solver.PortfolioOptions
 	// Delta, when non-nil, enables delta-epoch incremental serving: the
 	// coordinator caches each user's gain rows and previous decision,
 	// refreshes only users that moved beyond Delta.MoveThresholdKm (or
 	// newly appeared), and solves repair epochs with a short anneal scoped
-	// to the dirty set — falling back to a full solve on the Delta
-	// cadence/drift/dirty-fraction gates. Per-user RNG streams keep full
-	// epochs bit-identical to a threshold-0 coordinator's for any worker
-	// count or wire codec. Incompatible with Brownout (a degraded tier
-	// would replace the carried incumbent with a different scheduler's
-	// decision). See internal/delta.
+	// to the dirty set — falling back to a full solve, by the portfolio
+	// when one is configured, on the Delta cadence/drift/dirty-fraction
+	// gates. Per-user RNG streams keep full epochs bit-identical to a
+	// threshold-0 coordinator's for any worker count or wire codec. A
+	// brownout-degraded epoch is a full solve by its tier that carries no
+	// incumbent: the next epoch full-solves. See internal/delta.
 	Delta *delta.Config
 }
 
@@ -201,16 +203,10 @@ func (c ServerConfig) Validate() error {
 		if err := cc.Delta.Validate(); err != nil {
 			return err
 		}
-		if cc.Brownout.Enabled {
-			return fmt.Errorf("cran: delta-epoch serving cannot be combined with brownout degradation")
-		}
 	}
 	if cc.Portfolio != nil {
 		if err := cc.Portfolio.Validate(); err != nil {
 			return err
-		}
-		if cc.Delta != nil {
-			return fmt.Errorf("cran: portfolio serving cannot be combined with delta-epoch serving")
 		}
 	}
 	if cc.TTSA != nil {
@@ -241,52 +237,41 @@ type pending struct {
 	// stops being useful (zero: never expires).
 	arrived  time.Time
 	deadline time.Time
-	// cell is the request's serving cell, resolved at admission — only
-	// meaningful on partitioned coordinators, where the collector groups
-	// pendings by cell into per-cell epochs.
+	// cell indexes the request's chain: its serving cell, resolved at
+	// admission, on partitioned coordinators; 0 (the network-wide chain)
+	// otherwise. The collector groups a flush by cell into epochs.
 	cell int
 }
 
 // Server is a running coordinator. Create with NewServer, stop with Close.
 type Server struct {
 	cfg     ServerConfig
-	ttsa    *core.TTSA
 	ln      net.Listener
 	sites   []geom.Point
 	servers []scenario.Server
-	rng     *simrand.Source
-	epoch   uint64
 	submit  chan pending
 	solveQ  chan epochBatch
 	started time.Time
 
-	// Partition-mode state (nil/empty on unpartitioned coordinators): the
-	// per-cell epoch counters (owned by the batch collector) and the per-cell
-	// base RNG sources the cell-epoch streams derive from. The bases are pure
-	// functions of (Seed, cell), so every shard of a same-seed cluster — and
-	// a lone K=1 coordinator — derives identical streams for a given cell.
-	cellEpochs []uint64
-	cellRNG    []*simrand.Source
-
-	// Delta-epoch serving state (nil when Delta is off): one chain per
+	// chains are the scheduling chains, indexed by pending.cell: one per
 	// cell on partitioned coordinators, one network-wide chain otherwise.
-	deltaChains []*deltaChain
+	chains []*chain
 
-	// Overload-resilience state: degraded-tier solvers, the deterministic
-	// brownout controller (owned by the batch collector), and the EWMA
-	// service-time estimator behind deadline admission.
-	ttsaTruncated *core.TTSA
-	cheap         *baseline.Cheap
-	brownout      *brownoutController
-	wait          waitEstimator
-
-	// Portfolio serving state (nil when Portfolio is off): the shared
-	// heterogeneous portfolio full-tier epochs dispatch to, its per-member
-	// telemetry, and — in adaptive mode — one selector per cell on
-	// partitioned coordinators (one network-wide selector otherwise).
+	// The schedulers, shared by every worker: the full-quality TTSA (also
+	// the delta repair anneal), the tier table indexed by epochTier (the
+	// degraded entries are nil unless brownout is on), and the portfolio
+	// full-tier epochs dispatch to when a plan is stamped, with its
+	// per-member telemetry (both nil when Portfolio is off).
+	ttsa      *core.TTSA
+	tiers     [3]solver.Scheduler
 	pf        *portfolio.Portfolio
 	pfMetrics *obs.PortfolioMetrics
-	selectors []*portfolio.Selector
+
+	// Overload-resilience state: the deterministic brownout controller
+	// (owned by the batch collector) and the EWMA service-time estimator
+	// behind deadline admission.
+	brownout *brownoutController
+	wait     waitEstimator
 
 	quit    chan struct{}
 	wg      sync.WaitGroup
@@ -330,36 +315,32 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	// latency are unchanged.
 	solverObs := obs.NewSolverMetrics(reg)
 	ttsa = ttsa.WithObserver(solverObs)
+	s := &Server{
+		cfg:     cfg,
+		ttsa:    ttsa,
+		ln:      ln,
+		sites:   geom.HexLayout(cfg.Params.NumServers, cfg.Params.InterSiteKm),
+		submit:  make(chan pending),
+		solveQ:  make(chan epochBatch, cfg.QueueDepth),
+		quit:    make(chan struct{}),
+		metrics: reg,
+		stats:   newStatsCollector(reg),
+		conns:   make(map[net.Conn]struct{}),
+		started: time.Now(),
+	}
 	// Degraded-tier solvers exist only when brownout is on, so a disabled
 	// coordinator carries zero extra state on the serving path.
+	s.tiers[tierFull] = ttsa
 	bo := cfg.Brownout.withDefaults(ttsaCfg.MaxEvaluations)
-	var ttsaTruncated *core.TTSA
-	var cheap *baseline.Cheap
 	if bo.Enabled {
 		truncCfg := ttsaCfg
 		truncCfg.MaxEvaluations = bo.TruncatedBudget
-		ttsaTruncated, err = core.New(truncCfg)
+		truncated, err := core.New(truncCfg)
 		if err != nil {
 			return nil, err
 		}
-		ttsaTruncated = ttsaTruncated.WithObserver(solverObs)
-		cheap = &baseline.Cheap{HJTORAMaxUsers: bo.HJTORAMaxUsers}
-	}
-	s := &Server{
-		cfg:           cfg,
-		ttsa:          ttsa,
-		ttsaTruncated: ttsaTruncated,
-		cheap:         cheap,
-		ln:            ln,
-		sites:         geom.HexLayout(cfg.Params.NumServers, cfg.Params.InterSiteKm),
-		rng:           simrand.New(cfg.Seed),
-		submit:        make(chan pending),
-		solveQ:        make(chan epochBatch, cfg.QueueDepth),
-		quit:          make(chan struct{}),
-		metrics:       reg,
-		stats:         newStatsCollector(reg),
-		conns:         make(map[net.Conn]struct{}),
-		started:       time.Now(),
+		s.tiers[tierTruncated] = truncated.WithObserver(solverObs)
+		s.tiers[tierCheap] = &baseline.Cheap{HJTORAMaxUsers: bo.HJTORAMaxUsers}
 	}
 	// The MEC server descriptors are static for the server's lifetime:
 	// build the slice once here instead of once per epoch, and let every
@@ -369,6 +350,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		s.servers[i] = scenario.Server{Pos: pos, FHz: cfg.Params.ServerFreqHz}
 	}
 	s.brownout = newBrownoutController(bo, cfg.QueueDepth)
+	newSelector := func() *portfolio.Selector { return nil }
 	if po := cfg.Portfolio; po != nil {
 		// Chains run sequentially on the owning solver worker: the server's
 		// Workers already parallelize across epochs, so parallel chains per
@@ -387,35 +369,20 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 			// held by workers, so epochs e-lag and earlier have always been
 			// committed or skipped — Plan never blocks in steady state.
 			lag := cfg.QueueDepth + cfg.Workers + 1
-			if cfg.Partition != nil {
-				s.selectors = make([]*portfolio.Selector, len(s.sites))
-				for c := range s.selectors {
-					s.selectors[c] = portfolio.NewSelector(s.pf.Members(), pfOpts.Chains, lag)
-				}
-			} else {
-				s.selectors = []*portfolio.Selector{
-					portfolio.NewSelector(s.pf.Members(), pfOpts.Chains, lag),
-				}
+			newSelector = func() *portfolio.Selector {
+				return portfolio.NewSelector(s.pf.Members(), pfOpts.Chains, lag)
 			}
 		}
 	}
-	if cfg.Delta != nil {
+	root := simrand.New(cfg.Seed)
+	if pc := cfg.Partition; pc == nil {
+		s.chains = []*chain{newChain(-1, root, cfg.Delta, newSelector())}
+	} else {
 		// Partitioned epochs see a one-site scenario, so each cell is its
 		// own chain with single-site rows.
-		chains := 1
-		if cfg.Partition != nil {
-			chains = len(s.sites)
-		}
-		s.deltaChains = make([]*deltaChain, chains)
-		for c := range s.deltaChains {
-			s.deltaChains[c] = newDeltaChain(*cfg.Delta)
-		}
-	}
-	if pc := cfg.Partition; pc != nil {
-		s.cellEpochs = make([]uint64, len(s.sites))
-		s.cellRNG = make([]*simrand.Source, len(s.sites))
-		for c := range s.cellRNG {
-			s.cellRNG[c] = s.rng.Derive(cellStreamLabel + uint64(c))
+		s.chains = make([]*chain, len(s.sites))
+		for c := range s.chains {
+			s.chains[c] = newChain(c, root.Derive(cellStreamLabel+uint64(c)), cfg.Delta, newSelector())
 		}
 		s.stats.shardIndex.Set(float64(pc.Index))
 		s.stats.shardCount.Set(float64(pc.Shards))
@@ -448,13 +415,11 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	close(s.quit)
-	// Wake any worker parked in a delta chain's acquire — the collector is
-	// about to close the solve queue and those epochs will never be solved.
-	s.closeDeltaChains()
-	// Unblock a collector parked in a selector's Plan wait; a nil plan
-	// falls back to the single-chain solver for the final epochs.
-	for _, sel := range s.selectors {
-		sel.Close()
+	// Wake any worker parked in a chain's acquire — the collector is about
+	// to close the solve queue and those epochs will never be solved — and
+	// any collector parked in a selector's Plan wait.
+	for _, ch := range s.chains {
+		ch.close()
 	}
 	err := s.ln.Close()
 	s.wg.Wait()
@@ -727,7 +692,7 @@ func (s *Server) applyDefaults(req *OffloadRequest) {
 // epochs and hands each epoch to the bounded solve queue instead of solving
 // inline, so collecting the next batch overlaps the solve of the previous
 // one. The epoch number, its solver stream and its gain key are stamped
-// here, at enqueue time — both read only the parent seed, so they are
+// here, at enqueue time — they read only the chain's seed, so they are
 // independent of which worker eventually solves the batch.
 func (s *Server) batchLoop() {
 	defer s.wg.Done()
@@ -738,11 +703,7 @@ func (s *Server) batchLoop() {
 	)
 	flush := func() {
 		if len(batch) > 0 {
-			if s.cfg.Partition != nil {
-				s.enqueueCellEpochs(batch)
-			} else {
-				s.enqueueEpoch(batch)
-			}
+			s.enqueue(batch)
 			batch = nil
 		}
 		if timer != nil {
@@ -781,51 +742,44 @@ func (s *Server) batchLoop() {
 	}
 }
 
-// enqueueEpoch stamps the next epoch number, its solver stream and its gain
-// key on the batch and offers it to the solve queue. A full queue fails the batch
-// immediately (ErrQueueFull): the coordinator sheds load at the epoch
-// boundary rather than queueing unboundedly or stalling collection.
-func (s *Server) enqueueEpoch(batch []pending) {
-	s.epoch++
-	// The brownout tier is stamped here, in the collector goroutine, as a
-	// pure function of the queue-depth sequence seen at successive flushes:
-	// the same arrival trace always degrades the same epochs, regardless of
-	// worker count or solve timing.
-	eb := epochBatch{
-		epoch:     s.epoch,
-		cell:      -1,
-		batch:     batch,
-		tier:      s.brownout.observe(len(s.solveQ)),
-		solveRNG:  s.rng.Derive(s.epoch),
-		gainKey:   simrand.Key(s.rng.Seed(), s.epoch^gainStreamLabel),
-		collected: time.Now(),
+// enqueue splits a flushed batch by chain (pending.cell, always 0 on an
+// unpartitioned coordinator), stamps each part as its chain's next epoch and
+// offers it to the solve queue. Chains are flushed in ascending cell order
+// and requests keep their arrival order within a chain (the solver re-sorts
+// by user ID anyway). A full queue fails the epoch immediately
+// (ErrQueueFull): the coordinator sheds load at the epoch boundary rather
+// than queueing unboundedly or stalling collection.
+//
+// The brownout tier is observed once per flush and stamped on every epoch
+// of the flush: it is a pure function of the queue-depth sequence seen at
+// successive flushes, so the same arrival trace always degrades the same
+// epochs, regardless of worker count or solve timing.
+func (s *Server) enqueue(batch []pending) {
+	tier := s.brownout.observe(len(s.solveQ))
+	slices.SortStableFunc(batch, func(a, b pending) int { return a.cell - b.cell })
+	now := time.Now()
+	for start := 0; start < len(batch); {
+		end := start
+		for end < len(batch) && batch[end].cell == batch[start].cell {
+			end++
+		}
+		eb := epochBatch{batch: batch[start:end:end], tier: tier, collected: now}
+		s.chains[batch[start].cell].stamp(&eb)
+		eb.plan = s.planEpoch(eb)
+		select {
+		case s.solveQ <- eb:
+			s.stats.queueDepth.Set(float64(len(s.solveQ)))
+		default:
+			s.stats.epochRejected()
+			// A rejected epoch never reaches a worker: tell the chain so
+			// workers sequenced behind it do not wait forever, and record the
+			// skip with the selector so the learning prefix stays contiguous.
+			eb.ch.skip(eb.epoch)
+			eb.skipPlan()
+			s.failBatch(eb.batch, CodeQueueFull, ErrQueueFull.Error())
+		}
+		start = end
 	}
-	eb.plan = s.planEpoch(eb.cell, eb.epoch, eb.tier, eb.solveRNG)
-	select {
-	case s.solveQ <- eb:
-		s.stats.queueDepth.Set(float64(len(s.solveQ)))
-	default:
-		s.stats.epochRejected()
-		// A rejected epoch never reaches a worker: tell the delta chain so
-		// workers sequenced behind it do not wait forever, and record the
-		// skip with the selector so the learning prefix stays contiguous.
-		s.deltaSkip(eb.epoch, eb.cell)
-		s.skipPlan(eb)
-		s.failBatch(batch, CodeQueueFull, ErrQueueFull.Error())
-	}
-}
-
-// selectorFor returns the adaptive selector owning cell's epochs (the
-// network-wide selector on unpartitioned coordinators); nil when the
-// adaptive portfolio is off.
-func (s *Server) selectorFor(cell int) *portfolio.Selector {
-	if len(s.selectors) == 0 {
-		return nil
-	}
-	if cell < 0 {
-		return s.selectors[0]
-	}
-	return s.selectors[cell]
 }
 
 // planEpoch stamps an epoch's portfolio plan in the collector goroutine,
@@ -835,45 +789,22 @@ func (s *Server) selectorFor(cell int) *portfolio.Selector {
 // truncated/cheap solvers, and the selector records them as skipped so its
 // learning prefix stays contiguous without fighting the ladder. A nil plan
 // (portfolio off, degraded tier, or selector closed by shutdown) dispatches
-// the epoch exactly as before the portfolio existed.
-func (s *Server) planEpoch(cell int, epoch uint64, tier epochTier, solveRNG *simrand.Source) []int {
+// the epoch to its tier's scheduler.
+func (s *Server) planEpoch(eb epochBatch) []int {
 	if s.pf == nil {
 		return nil
 	}
-	sel := s.selectorFor(cell)
-	if tier != tierFull {
+	sel := eb.ch.sel
+	if eb.tier != tierFull {
 		if sel != nil {
-			sel.Skip(epoch)
+			sel.Skip(eb.epoch)
 		}
 		return nil
 	}
 	if sel == nil {
 		return s.pf.FixedPlan()
 	}
-	return sel.Plan(epoch, solveRNG)
-}
-
-// skipPlan tells the epoch's selector that a planned epoch died without
-// outcomes (shed, expired, failed, or aborted by shutdown). No-op for
-// unplanned epochs and in fixed mode; duplicate skips are ignored by the
-// selector, so racing a recovered panic against shutdown is safe.
-func (s *Server) skipPlan(eb epochBatch) {
-	if eb.plan == nil {
-		return
-	}
-	if sel := s.selectorFor(eb.cell); sel != nil {
-		sel.Skip(eb.epoch)
-	}
-}
-
-// commitPlan delivers a planned epoch's member outcomes to its selector.
-func (s *Server) commitPlan(eb epochBatch, outcomes []solver.MemberOutcome) {
-	if eb.plan == nil || outcomes == nil {
-		return
-	}
-	if sel := s.selectorFor(eb.cell); sel != nil {
-		sel.Commit(eb.epoch, outcomes)
-	}
+	return sel.Plan(eb.epoch, eb.solveRNG)
 }
 
 // failBatch answers every request in the batch with the same typed error.

@@ -9,8 +9,9 @@ import (
 )
 
 // FuzzDeltaEpoch drives the incremental epoch path over fuzzed
-// (seed, threshold, cadence, participation) tuples and asserts the
-// structural invariants that must hold for every input:
+// (seed, threshold, cadence, participation, mode) tuples — mode bit 0
+// warm-starts the full epochs, bit 1 solves them by a 3-chain portfolio —
+// and asserts the structural invariants that must hold for every input:
 //
 //   - every epoch's assignment is valid (Run calls solver.Verify and
 //     errors out otherwise),
@@ -20,11 +21,11 @@ import (
 //     repair evaluations never exceed the documented budget,
 //   - the whole run replays bit-identically from the same inputs.
 func FuzzDeltaEpoch(f *testing.F) {
-	f.Add(uint64(1), uint16(20), uint8(3), uint8(80))
-	f.Add(uint64(7), uint16(0), uint8(1), uint8(60))
-	f.Add(uint64(42), uint16(500), uint8(8), uint8(95))
-	f.Add(uint64(303), uint16(35), uint8(5), uint8(70))
-	f.Fuzz(func(t *testing.T, seed uint64, thresholdM uint16, fullEvery uint8, activePct uint8) {
+	f.Add(uint64(1), uint16(20), uint8(3), uint8(80), uint8(0))
+	f.Add(uint64(7), uint16(0), uint8(1), uint8(60), uint8(1))
+	f.Add(uint64(42), uint16(500), uint8(8), uint8(95), uint8(2))
+	f.Add(uint64(303), uint16(35), uint8(5), uint8(70), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, thresholdM uint16, fullEvery uint8, activePct uint8, mode uint8) {
 		p := scenario.DefaultParams()
 		p.NumUsers = 8
 		p.NumServers = 3
@@ -45,6 +46,10 @@ func FuzzDeltaEpoch(f *testing.F) {
 			TTSAConfig:   &ttsaCfg,
 			Seed:         seed,
 			Delta:        &dcfg,
+			WarmStart:    mode&1 != 0,
+		}
+		if mode&2 != 0 {
+			cfg.Chains = 3
 		}
 		res, err := Run(cfg)
 		if err != nil {

@@ -48,8 +48,6 @@ func TestDeltaConfigValidate(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{name: "warm start", mutate: func(c *Config) { c.WarmStart = true }},
-		{name: "portfolio", mutate: func(c *Config) { c.Chains = 4 }},
 		{name: "negative threshold", mutate: func(c *Config) { c.Delta.MoveThresholdKm = -1 }},
 		{name: "negative cadence", mutate: func(c *Config) { c.Delta.FullEvery = -2 }},
 		{name: "bad dirty fraction", mutate: func(c *Config) { c.Delta.MaxDirtyFrac = 1.5 }},
@@ -72,7 +70,8 @@ func TestDeltaConfigValidate(t *testing.T) {
 // cadence gate under an unreachable threshold, and a plain run (no Delta)
 // is full by construction — must be bit-identical, with and without
 // faults, because a full epoch is a pure function of (seed, epoch,
-// trajectory).
+// trajectory). Full epochs solve as plain ones do, so the identity holds
+// for a portfolio (Chains) and for warm-started runs too.
 func TestDeltaFullEpochsHistoryFree(t *testing.T) {
 	base := deltaTestConfig(delta.Config{})
 	plan, err := faults.Generate(faults.Config{
@@ -82,26 +81,37 @@ func TestDeltaFullEpochsHistoryFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fp := range []*faults.Plan{nil, plan} {
-		run := func(d *delta.Config) *Result {
-			cfg := deltaTestConfig(delta.Config{})
-			cfg.Delta, cfg.FaultPlan = d, fp
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
+	inputs := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"single", func(*Config) {}},
+		{"chains", func(c *Config) { c.Chains = 3 }},
+		{"warm", func(c *Config) { c.WarmStart = true }},
+	}
+	for _, in := range inputs {
+		for _, fp := range []*faults.Plan{nil, plan} {
+			run := func(d *delta.Config) *Result {
+				cfg := deltaTestConfig(delta.Config{})
+				in.mutate(&cfg)
+				cfg.Delta, cfg.FaultPlan = d, fp
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-			return res
-		}
-		a := run(&delta.Config{MoveThresholdKm: 0, FullEvery: 5})
-		b := run(&delta.Config{MoveThresholdKm: 1e9, FullEvery: 1})
-		plain := run(nil)
-		for i := range a.Epochs {
-			ea, eb, ep := a.Epochs[i], b.Epochs[i], plain.Epochs[i]
-			if ea.Utility != eb.Utility || ea.Offloaded != eb.Offloaded || ea.Evaluations != eb.Evaluations {
-				t.Fatalf("faults=%v epoch %d diverged: all-dirty %+v vs cadence %+v", fp != nil, i, ea, eb)
-			}
-			if ea.Utility != ep.Utility || ea.Offloaded != ep.Offloaded || ea.Evaluations != ep.Evaluations {
-				t.Fatalf("faults=%v epoch %d diverged: all-dirty %+v vs plain %+v", fp != nil, i, ea, ep)
+			a := run(&delta.Config{MoveThresholdKm: 0, FullEvery: 5})
+			b := run(&delta.Config{MoveThresholdKm: 1e9, FullEvery: 1})
+			plain := run(nil)
+			for i := range a.Epochs {
+				ea, eb, ep := a.Epochs[i], b.Epochs[i], plain.Epochs[i]
+				if ea.Utility != eb.Utility || ea.Offloaded != eb.Offloaded || ea.Evaluations != eb.Evaluations {
+					t.Fatalf("%s faults=%v epoch %d diverged: all-dirty %+v vs cadence %+v", in.name, fp != nil, i, ea, eb)
+				}
+				if ea.Utility != ep.Utility || ea.Offloaded != ep.Offloaded || ea.Evaluations != ep.Evaluations {
+					t.Fatalf("%s faults=%v epoch %d diverged: all-dirty %+v vs plain %+v", in.name, fp != nil, i, ea, ep)
+				}
 			}
 		}
 	}

@@ -90,10 +90,11 @@ type Config struct {
 	// redrawn only for users whose position moved beyond the configured
 	// threshold, and the solve becomes a short repair anneal scoped to the
 	// dirty users with the previous epoch's decision as incumbent, falling
-	// back to a full cold solve on the configured gates. Requires the
-	// built-in TTSA scheduler, a single chain, and WarmStart off (the delta
-	// path manages its own incumbent). Every run draws row i from the keyed
-	// stream of (epoch, user), so a delta run's full epochs are
+	// back to a full solve on the configured gates. A full epoch solves as
+	// it would without Delta: cold or warm-started (WarmStart), by one chain
+	// or the portfolio (Chains); a repair always anneals one TTSA chain.
+	// Requires the built-in TTSA scheduler. Every run draws row i from the
+	// keyed stream of (epoch, user), so a delta run's full epochs are
 	// bit-identical to the same epochs of the Delta == nil run, which is
 	// also the MoveThresholdKm = 0 run: a full solve every epoch.
 	Delta *delta.Config
@@ -149,10 +150,6 @@ func (c Config) Validate() error {
 			c.FaultPlan.Servers(), c.Params.NumServers)
 	case c.Delta != nil && c.Scheduler != nil:
 		return errors.New("dynamic: delta epochs require the built-in TTSA scheduler")
-	case c.Delta != nil && c.WarmStart:
-		return errors.New("dynamic: delta epochs manage their own incumbent; disable WarmStart")
-	case c.Delta != nil && c.Chains > 1:
-		return errors.New("dynamic: delta epochs run a single chain; disable the portfolio")
 	}
 	if c.Delta != nil {
 		if err := c.Delta.Validate(); err != nil {
