@@ -141,6 +141,16 @@ bench-baseline:
 	go run ./cmd/tsajs-bench record -in /tmp/tsajs_bench_quick.txt \
 	  -notes "quick-gate baseline (fixed 50x iterations)" -o results/bench/BENCH_baseline.json
 
+# Counted lines, the code-size figures ROADMAP quotes: tracked non-test Go
+# files, blank and `//` comment lines excluded — first the serving core
+# (internal/{cran,dynamic,delta}), then the whole repo outside the
+# servebench module.
+.PHONY: loc
+loc:
+	@count() { cat $$(git ls-files -- "$$@" | grep '\.go$$' | grep -v '_test\.go$$') | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l; }; \
+	echo "internal/{cran,dynamic,delta}: $$(count internal/cran internal/dynamic internal/delta)"; \
+	echo "repo-wide: $$(count . ':!servebench')"
+
 .PHONY: fmt
 fmt:
 	gofmt -w .

@@ -34,7 +34,7 @@ func BenchmarkServeEpoch(b *testing.B) {
 		if err := reqs[i].Validate(); err != nil {
 			b.Fatal(err)
 		}
-		ps[i] = pending{req: reqs[i], reply: make(chan OffloadResponse, 1)}
+		ps[i] = pending{req: reqs[i], sink: make(chanSink, 1)}
 	}
 	w := srv.newSolveWorker()
 	// The network-wide chain: the epoch solves the whole network.
@@ -56,7 +56,7 @@ func BenchmarkServeEpoch(b *testing.B) {
 		eb.gainKey = simrand.Key(ch.base.Seed(), eb.epoch^gainStreamLabel)
 		w.solveEpoch(eb)
 		for j := range ps {
-			resp := <-ps[j].reply
+			resp := <-ps[j].sink.(chanSink)
 			if resp.Error != "" {
 				b.Fatalf("epoch failed: %s", resp.Error)
 			}
@@ -97,7 +97,7 @@ func BenchmarkServeEpochDegraded(b *testing.B) {
 				if err := reqs[i].Validate(); err != nil {
 					b.Fatal(err)
 				}
-				ps[i] = pending{req: reqs[i], reply: make(chan OffloadResponse, 1)}
+				ps[i] = pending{req: reqs[i], sink: make(chanSink, 1)}
 			}
 			w := srv.newSolveWorker()
 			ch := srv.chains[0]
@@ -117,7 +117,7 @@ func BenchmarkServeEpochDegraded(b *testing.B) {
 				eb.gainKey = simrand.Key(ch.base.Seed(), eb.epoch^gainStreamLabel)
 				w.solveEpoch(eb)
 				for j := range ps {
-					resp := <-ps[j].reply
+					resp := <-ps[j].sink.(chanSink)
 					if resp.Error != "" {
 						b.Fatalf("epoch failed: %s", resp.Error)
 					}
@@ -167,7 +167,7 @@ func BenchmarkServePipeline(b *testing.B) {
 				var firstErr error
 				for ps := range waves {
 					for _, p := range ps {
-						if resp := <-p.reply; resp.Error != "" && firstErr == nil {
+						if resp := <-p.sink.(chanSink); resp.Error != "" && firstErr == nil {
 							firstErr = fmt.Errorf("epoch failed: %s", resp.Error)
 						}
 					}

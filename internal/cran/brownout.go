@@ -38,16 +38,9 @@ type BrownoutConfig struct {
 	// the hysteresis that stops tier flapping around a threshold. Zero
 	// defaults to 3.
 	DwellEpochs int
-	// TruncatedBudget is the evaluation cap of the truncated-anneal tier.
-	// Zero defaults to max(500, full budget / 8).
-	TruncatedBudget int
-	// HJTORAMaxUsers bounds the batch size the cheap tier solves with
-	// hJTORA before falling back to Greedy; zero takes the baseline
-	// package default.
-	HJTORAMaxUsers int
 }
 
-func (c BrownoutConfig) withDefaults(fullBudget int) BrownoutConfig {
+func (c BrownoutConfig) withDefaults() BrownoutConfig {
 	if c.HighFraction == 0 {
 		c.HighFraction = 0.5
 	}
@@ -60,18 +53,12 @@ func (c BrownoutConfig) withDefaults(fullBudget int) BrownoutConfig {
 	if c.DwellEpochs == 0 {
 		c.DwellEpochs = 3
 	}
-	if c.TruncatedBudget == 0 {
-		c.TruncatedBudget = fullBudget / 8
-		if c.TruncatedBudget < 500 {
-			c.TruncatedBudget = 500
-		}
-	}
 	return c
 }
 
 // Validate checks the configuration domain.
 func (c BrownoutConfig) Validate() error {
-	cc := c.withDefaults(20000)
+	cc := c.withDefaults()
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -94,12 +81,6 @@ func (c BrownoutConfig) Validate() error {
 	}
 	if c.DwellEpochs < 0 {
 		return fmt.Errorf("cran: brownout dwell must be non-negative, got %d", c.DwellEpochs)
-	}
-	if c.TruncatedBudget < 0 {
-		return fmt.Errorf("cran: brownout truncated budget must be non-negative, got %d", c.TruncatedBudget)
-	}
-	if c.HJTORAMaxUsers < 0 {
-		return fmt.Errorf("cran: brownout hJTORA user cap must be non-negative, got %d", c.HJTORAMaxUsers)
 	}
 	return nil
 }

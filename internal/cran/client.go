@@ -1,14 +1,11 @@
 package cran
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/tsajs/tsajs/internal/obs"
@@ -147,14 +144,14 @@ func (rc ResilienceConfig) Validate() error {
 
 // Client is a mobile-device-side connection to a coordinator.
 //
-// One retry, breaker and degradation loop (Offload) runs over either
-// codec's exchange. With the default JSON protocol, exchanges are
-// serialized (one in flight per connection, matching the server's in-order
-// response guarantee). With ProtoBinary, concurrent Offload calls
-// multiplex over one connection — each call gets its own request ID and a
-// demultiplexing goroutine routes responses back by ID — so one Client can
-// hold many requests in flight. Either way a Client is safe for concurrent
-// use.
+// One retry, breaker and degradation loop (Offload) runs over one
+// connection layer for both codecs: each call gets a request ID and a
+// demultiplexing goroutine routes responses back by ID (client_mux.go).
+// With the default JSON protocol, exchanges are serialized (one in flight
+// per connection, matching the server's in-order response guarantee). With
+// ProtoBinary, concurrent Offload calls multiplex over one connection, so
+// one Client can hold many requests in flight. Either way a Client is safe
+// for concurrent use.
 //
 // The client reconnects automatically: a transport failure drops the
 // connection and the next attempt redials, so a coordinator restart is
@@ -171,20 +168,16 @@ type Client struct {
 	openAt  time.Time
 	probing bool // a half-open probe is in flight
 
-	xmu sync.Mutex // serializes JSON exchanges; guards rd and enc
-	rd  *bufio.Reader
-	enc *json.Encoder
+	// turn, on a JSON client, holds its one exchange in flight (see
+	// exchange); nil on a binary client.
+	turn chan struct{}
 
-	connMu sync.Mutex // guards conn and mux against concurrent Close
-	conn   net.Conn
+	connMu sync.Mutex // guards mux against concurrent Close
 	mux    *clientMux
-
-	muxDialMu sync.Mutex // serializes binary (re)dials
-	nextID    atomic.Uint64
+	dialMu sync.Mutex // serializes (re)dials
 
 	closeOnce sync.Once
 	closedCh  chan struct{}
-	closeErr  error
 }
 
 // binary reports whether this client speaks the wirev2 binary protocol.
@@ -199,12 +192,16 @@ func NewClient(addr string, rc ResilienceConfig) (*Client, error) {
 		return nil, err
 	}
 	rc = rc.withDefaults()
-	return &Client{
+	c := &Client{
 		addr:     addr,
 		rc:       rc,
 		jitter:   simrand.New(rc.Seed),
 		closedCh: make(chan struct{}),
-	}, nil
+	}
+	if !c.binary() {
+		c.turn = make(chan struct{}, 1)
+	}
+	return c, nil
 }
 
 // DialResilient returns a client with the full fault-tolerance stack on:
@@ -221,25 +218,10 @@ func Dial(addr string) (*Client, error) {
 }
 
 // DialBinary connects eagerly over the wirev2 binary protocol with Dial's
-// strict semantics: single attempts, no breaker, no degradation. Unlike a
-// JSON client, the returned client multiplexes concurrent Offload calls
-// over its one connection.
+// strict semantics. Unlike a JSON client, the returned client multiplexes
+// concurrent Offload calls over its one connection.
 func DialBinary(addr string) (*Client, error) {
-	c, err := NewClient(addr, ResilienceConfig{
-		MaxAttempts:      1,
-		BreakerThreshold: -1,
-		Protocol:         ProtoBinary,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.rc.DialTimeout)
-	defer cancel()
-	if _, err := c.ensureMux(ctx); err != nil {
-		_ = c.Close()
-		return nil, err
-	}
-	return c, nil
+	return dialStrict(addr, ResilienceConfig{Protocol: ProtoBinary})
 }
 
 // DialTimeout connects with a dial timeout. Unlike NewClient it dials
@@ -247,20 +229,22 @@ func DialBinary(addr string) (*Client, error) {
 // returned client performs single attempts without retry or degradation —
 // the historical strict behavior.
 func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	c, err := NewClient(addr, ResilienceConfig{
-		MaxAttempts:      1,
-		BreakerThreshold: -1,
-		DialTimeout:      timeout,
-	})
+	return dialStrict(addr, ResilienceConfig{DialTimeout: timeout})
+}
+
+// dialStrict builds a client with single attempts, no breaker and no
+// degradation, and dials it within the dial timeout.
+func dialStrict(addr string, rc ResilienceConfig) (*Client, error) {
+	rc.MaxAttempts = 1
+	rc.BreakerThreshold = -1
+	c, err := NewClient(addr, rc)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.rc.DialTimeout)
 	defer cancel()
-	c.xmu.Lock()
-	err = c.ensureConn(ctx)
-	c.xmu.Unlock()
-	if err != nil {
+	if _, err := c.ensureMux(ctx); err != nil {
+		_ = c.Close()
 		return nil, err
 	}
 	return c, nil
@@ -277,13 +261,9 @@ func (c *Client) Close() error {
 			c.mux.close(ErrClientClosed)
 			c.mux = nil
 		}
-		if c.conn != nil {
-			c.closeErr = c.conn.Close()
-			c.conn = nil
-		}
 		c.connMu.Unlock()
 	})
-	return c.closeErr
+	return nil
 }
 
 func (c *Client) isClosed() bool {
@@ -400,14 +380,6 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 	return *resp.Health, nil
 }
 
-// exchange performs one request/response round over the client's codec.
-func (c *Client) exchange(ctx context.Context, req *OffloadRequest) (OffloadResponse, error) {
-	if c.binary() {
-		return c.exchangeMux(ctx, req)
-	}
-	return c.exchangeJSON(ctx, *req)
-}
-
 // dialConn performs one transport dial with the configured dialer, bounded
 // by the dial timeout and the call context.
 func (c *Client) dialConn(ctx context.Context) (net.Conn, error) {
@@ -425,86 +397,6 @@ func (c *Client) dialConn(ctx context.Context) (net.Conn, error) {
 		return nil, fmt.Errorf("cran: dial %s: %w", c.addr, err)
 	}
 	return conn, nil
-}
-
-// ensureConn dials when no connection is live. Callers hold c.xmu.
-func (c *Client) ensureConn(ctx context.Context) error {
-	c.connMu.Lock()
-	live := c.conn != nil
-	c.connMu.Unlock()
-	if live {
-		return nil
-	}
-	conn, err := c.dialConn(ctx)
-	if err != nil {
-		return err
-	}
-	c.connMu.Lock()
-	if c.isClosed() {
-		c.connMu.Unlock()
-		_ = conn.Close()
-		return ErrClientClosed
-	}
-	c.conn = conn
-	c.connMu.Unlock()
-	c.countMetric(func(m *obs.ClientMetrics) { m.Dials.Inc() })
-	c.rd = bufio.NewReader(conn)
-	c.enc = json.NewEncoder(conn)
-	return nil
-}
-
-// dropConn closes and forgets the connection so the next attempt redials.
-// Callers hold c.xmu.
-func (c *Client) dropConn() {
-	c.connMu.Lock()
-	if c.conn != nil {
-		_ = c.conn.Close()
-		c.conn = nil
-	}
-	c.connMu.Unlock()
-	c.rd = nil
-	c.enc = nil
-}
-
-// exchangeJSON performs one connect-send-receive round of the line
-// protocol. Exchanges are serialized, one in flight per connection, and a
-// failed one drops the connection so the next attempt redials.
-func (c *Client) exchangeJSON(ctx context.Context, req OffloadRequest) (resp OffloadResponse, err error) {
-	c.xmu.Lock()
-	defer c.xmu.Unlock()
-	defer func() {
-		if err != nil {
-			c.dropConn()
-		}
-	}()
-	if err := c.ensureConn(ctx); err != nil {
-		return OffloadResponse{}, err
-	}
-	c.connMu.Lock()
-	conn := c.conn
-	c.connMu.Unlock()
-	if conn == nil {
-		return OffloadResponse{}, ErrClientClosed
-	}
-
-	deadline, _ := ctx.Deadline()
-	if err := conn.SetDeadline(deadline); err != nil {
-		return OffloadResponse{}, fmt.Errorf("cran: set deadline: %w", err)
-	}
-	if err := c.enc.Encode(req); err != nil {
-		return OffloadResponse{}, fmt.Errorf("cran: send: %w", err)
-	}
-	line, err := c.rd.ReadBytes('\n')
-	if err != nil {
-		if ctx.Err() != nil {
-			return OffloadResponse{}, fmt.Errorf("cran: %w", ctx.Err())
-		}
-		return OffloadResponse{}, fmt.Errorf("cran: receive: %w", err)
-	}
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return OffloadResponse{}, fmt.Errorf("cran: decode response: %w", err)
-	}
-	return resp, nil
 }
 
 // breakerAdmit reports whether an attempt may use the network. A closed

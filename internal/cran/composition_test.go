@@ -154,13 +154,13 @@ func TestServingComposition(t *testing.T) {
 		} {
 			ps := make([]pending, len(reqs))
 			for i := range reqs {
-				ps[i] = pending{req: reqs[i], reply: make(chan OffloadResponse, 1)}
+				ps[i] = pending{req: reqs[i], sink: make(chanSink, 1)}
 			}
 			eb := epochBatch{batch: ps, tier: step.tier}
 			ch.stamp(&eb)
 			w.solveEpoch(eb)
 			for i := range ps {
-				resp := <-ps[i].reply
+				resp := <-ps[i].sink.(chanSink)
 				if resp.Error != "" || resp.Tier != step.wantTier {
 					t.Fatalf("epoch %d: response %+v, want tier %q", eb.epoch, resp, step.wantTier)
 				}

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzHandleRequest hardens the coordinator's request parser/validator:
-// the handle path must never panic and must never forward an invalid
+// the JSON decode and dispatch path must never panic and must never forward an invalid
 // request to the scheduler. Scheduling itself is bypassed by closing the
 // server's quit channel first, so accepted requests fail fast with the
 // shutdown error rather than blocking on the batcher.
@@ -38,7 +38,7 @@ func FuzzHandleRequest(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		resp := srv.handle(data)
+		resp := handleSync(t, srv, data)
 		if resp.Version != ProtocolVersion {
 			t.Fatalf("response carries version %d", resp.Version)
 		}

@@ -160,7 +160,7 @@ func TestWireErrorTyping(t *testing.T) {
 
 // TestAdmissionRejectsWhenWaitExceedsDeadline primes the EWMA service-time
 // estimator far above a request's deadline and submits through the real
-// handle path: the request must be refused at admission with the typed
+// JSON decode and dispatch path: the request must be refused at admission with the typed
 // code, before it ever reaches the batcher.
 func TestAdmissionRejectsWhenWaitExceedsDeadline(t *testing.T) {
 	srv := startServer(t, testServerConfig())
@@ -173,7 +173,7 @@ func TestAdmissionRejectsWhenWaitExceedsDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := srv.handle(line)
+	resp := handleSync(t, srv, line)
 	if resp.Code != CodeAdmission {
 		t.Fatalf("code = %q (error %q), want %q", resp.Code, resp.Error, CodeAdmission)
 	}
@@ -194,7 +194,7 @@ func TestAdmissionRejectsWhenWaitExceedsDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp = srv.handle(line)
+	resp = handleSync(t, srv, line)
 	if resp.Error != "" {
 		t.Fatalf("deadline-free request rejected: %s", resp.Error)
 	}
@@ -387,7 +387,7 @@ func TestCloseRacesConcurrentSubmits(t *testing.T) {
 				req := testRequest(fmt.Sprintf("race-%d-%d", g, k), 0.05*float64(g)-0.2, 0.05*float64(k)-0.3)
 				req.Version = ProtocolVersion
 				srv.applyDefaults(&req)
-				p := pending{req: req, reply: make(chan OffloadResponse, 1), arrived: time.Now()}
+				p := pending{req: req, sink: make(chanSink, 1), arrived: time.Now()}
 				srv.stats.requestEntered()
 				select {
 				case srv.submit <- p:
@@ -415,12 +415,12 @@ func TestCloseRacesConcurrentSubmits(t *testing.T) {
 
 	for i, p := range entered {
 		select {
-		case <-p.reply:
+		case <-p.sink.(chanSink):
 		case <-time.After(30 * time.Second):
 			t.Fatalf("request %d never answered after Close", i)
 		}
 		select {
-		case extra := <-p.reply:
+		case extra := <-p.sink.(chanSink):
 			t.Fatalf("request %d answered twice; second: %+v", i, extra)
 		default:
 		}

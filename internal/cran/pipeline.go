@@ -1,14 +1,10 @@
 package cran
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/tsajs/tsajs/internal/assign"
@@ -455,36 +451,4 @@ func (w *solveWorker) buildScenario(eb epochBatch, fill func(gain radio.GainTens
 		return nil, err
 	}
 	return &w.sc, nil
-}
-
-// respEncoder is a pooled response-encoding buffer for the connection write
-// path: responses are marshalled into a recycled buffer and written to the
-// connection in one call, so the per-request write path does not allocate a
-// fresh encoder state per connection turn.
-type respEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var respEncoders = sync.Pool{New: func() any {
-	e := new(respEncoder)
-	e.enc = json.NewEncoder(&e.buf)
-	return e
-}}
-
-// writeJSON encodes resp as one newline-terminated JSON line and writes it
-// to conn using a pooled buffer, counting the write in the wire metrics.
-func (s *Server) writeJSON(conn net.Conn, resp OffloadResponse) error {
-	e := respEncoders.Get().(*respEncoder)
-	e.buf.Reset()
-	if err := e.enc.Encode(resp); err != nil {
-		respEncoders.Put(e)
-		return err
-	}
-	n, err := conn.Write(e.buf.Bytes())
-	respEncoders.Put(e)
-	if err == nil {
-		s.stats.frameWritten(false, n)
-	}
-	return err
 }

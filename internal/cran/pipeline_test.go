@@ -32,7 +32,7 @@ func submitWaveAsync(t testing.TB, srv *Server, reqs []OffloadRequest) []pending
 		if err := req.Validate(); err != nil {
 			t.Fatalf("request %d invalid: %v", i, err)
 		}
-		ps[i] = pending{req: req, reply: make(chan OffloadResponse, 1), arrived: time.Now()}
+		ps[i] = pending{req: req, sink: make(chanSink, 1), arrived: time.Now()}
 		if budget := srv.deadlineBudget(req); budget > 0 {
 			ps[i].deadline = ps[i].arrived.Add(budget)
 		}
@@ -51,7 +51,7 @@ func collectWave(t testing.TB, ps []pending) []OffloadResponse {
 	out := make([]OffloadResponse, len(ps))
 	for i, p := range ps {
 		select {
-		case out[i] = <-p.reply:
+		case out[i] = <-p.sink.(chanSink):
 		case <-time.After(30 * time.Second):
 			t.Fatalf("no reply for request %d", i)
 		}

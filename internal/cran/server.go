@@ -1,9 +1,6 @@
 package cran
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -55,7 +52,7 @@ type ServerConfig struct {
 	// Zero defaults to 1 MiB.
 	MaxLineBytes int
 	// MaxConns caps concurrently served connections; connections beyond
-	// the cap are answered with an error response and closed immediately.
+	// the cap are answered with an error response in their codec and closed.
 	// Zero defaults to 256.
 	MaxConns int
 	// Workers is the number of solver workers draining the epoch queue.
@@ -215,17 +212,13 @@ func (c ServerConfig) Validate() error {
 	return nil
 }
 
-// pending is one request waiting for its epoch. Exactly one of the two
-// delivery paths is set: reply (the JSON connection handler blocks on it,
-// preserving the one-request-per-round-trip discipline) or sink+sinkID (the
-// binary path enqueues the response frame on the connection's writer, so
-// many pendings from one connection ride distinct epochs concurrently).
+// pending is one request waiting for its epoch.
 type pending struct {
-	req   OffloadRequest
-	reply chan OffloadResponse
-	// sink, when non-nil, receives the encoded response frame under sinkID
-	// (the client-chosen request ID echoed back in the frame header).
-	sink   *binWriter
+	req OffloadRequest
+	// sink receives the answer under sinkID, the request ID the request
+	// arrived with (always 0 on a JSON connection): the connection's writer
+	// in serving, a channel in tests.
+	sink   replySink
 	sinkID uint64
 	// answered guards at-most-once delivery (CAS 0→1 in Server.reply): a
 	// recovered panic may leave part of a batch already answered, and
@@ -281,6 +274,8 @@ type Server struct {
 	mu     sync.Mutex
 	closed bool
 	conns  map[net.Conn]struct{}
+	// refusing holds one token per over-cap connection being refused.
+	refusing chan struct{}
 }
 
 // NewServer starts a coordinator listening on addr (e.g. "127.0.0.1:0").
@@ -316,31 +311,34 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	solverObs := obs.NewSolverMetrics(reg)
 	ttsa = ttsa.WithObserver(solverObs)
 	s := &Server{
-		cfg:     cfg,
-		ttsa:    ttsa,
-		ln:      ln,
-		sites:   geom.HexLayout(cfg.Params.NumServers, cfg.Params.InterSiteKm),
-		submit:  make(chan pending),
-		solveQ:  make(chan epochBatch, cfg.QueueDepth),
-		quit:    make(chan struct{}),
-		metrics: reg,
-		stats:   newStatsCollector(reg),
-		conns:   make(map[net.Conn]struct{}),
-		started: time.Now(),
+		cfg:      cfg,
+		ttsa:     ttsa,
+		ln:       ln,
+		sites:    geom.HexLayout(cfg.Params.NumServers, cfg.Params.InterSiteKm),
+		submit:   make(chan pending),
+		solveQ:   make(chan epochBatch, cfg.QueueDepth),
+		quit:     make(chan struct{}),
+		metrics:  reg,
+		stats:    newStatsCollector(reg),
+		conns:    make(map[net.Conn]struct{}),
+		refusing: make(chan struct{}, maxRefusals),
+		started:  time.Now(),
 	}
 	// Degraded-tier solvers exist only when brownout is on, so a disabled
 	// coordinator carries zero extra state on the serving path.
 	s.tiers[tierFull] = ttsa
-	bo := cfg.Brownout.withDefaults(ttsaCfg.MaxEvaluations)
+	bo := cfg.Brownout.withDefaults()
 	if bo.Enabled {
+		// The truncated tier anneals on an eighth of the full budget, at
+		// least 500 evaluations; the cheap tier uses the baseline defaults.
 		truncCfg := ttsaCfg
-		truncCfg.MaxEvaluations = bo.TruncatedBudget
+		truncCfg.MaxEvaluations = max(500, ttsaCfg.MaxEvaluations/8)
 		truncated, err := core.New(truncCfg)
 		if err != nil {
 			return nil, err
 		}
 		s.tiers[tierTruncated] = truncated.WithObserver(solverObs)
-		s.tiers[tierCheap] = &baseline.Cheap{HJTORAMaxUsers: bo.HJTORAMaxUsers}
+		s.tiers[tierCheap] = &baseline.Cheap{}
 	}
 	// The MEC server descriptors are static for the server's lifetime:
 	// build the slice once here instead of once per epoch, and let every
@@ -463,13 +461,15 @@ func (s *Server) acceptLoop() {
 		if len(s.conns) >= s.cfg.MaxConns {
 			s.mu.Unlock()
 			s.stats.connThrottled()
-			// Tell the client why before hanging up, so it can degrade
-			// rather than diagnose a silent close.
-			_ = s.writeJSON(conn, OffloadResponse{
-				Version: ProtocolVersion,
-				Error:   "coordinator at connection capacity",
-			})
-			_ = conn.Close()
+			// Tell the client why, in its codec, before hanging up, so it
+			// can degrade rather than diagnose a silent close.
+			select {
+			case s.refusing <- struct{}{}:
+				s.wg.Add(1)
+				go s.refuseConn(conn)
+			default:
+				_ = conn.Close()
+			}
 			continue
 		}
 		s.conns[conn] = struct{}{}
@@ -481,116 +481,34 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn negotiates the connection's protocol on its first bytes and
-// dispatches to the matching reader: the wirev2 handshake prefix selects
-// the binary framed protocol, anything else the historical newline-
-// delimited JSON loop (a JSON line can never start with the handshake's
-// NUL byte). A panic while serving one connection is confined to that
-// connection: it is recovered, counted, and the connection closed.
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			s.stats.panicRecovered()
-		}
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		active := len(s.conns)
-		s.mu.Unlock()
-		s.stats.activeConns.Set(float64(active))
-	}()
-	if s.cfg.ReadTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	}
-	br := bufio.NewReaderSize(conn, 64*1024)
-	prefix, err := br.Peek(len(wireMagic))
-	if err == nil && bytes.Equal(prefix, wireMagic[:]) {
-		s.serveBinary(conn, br)
-		return
-	}
-	// Not a binary handshake (or the connection died before three bytes
-	// arrived): hand whatever is buffered to the JSON line reader.
-	s.serveJSON(conn, br)
-}
-
-// serveJSON reads newline-delimited requests and writes one response per
-// request, in order — the historical protocol.
-func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader) {
-	scanner := bufio.NewScanner(br)
-	initial := 64 * 1024
-	if initial > s.cfg.MaxLineBytes {
-		initial = s.cfg.MaxLineBytes
-	}
-	scanner.Buffer(make([]byte, initial), s.cfg.MaxLineBytes)
-	for {
-		if s.cfg.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		}
-		if !scanner.Scan() {
-			if errors.Is(scanner.Err(), bufio.ErrTooLong) {
-				// The scanner lost the line boundary, so answer with the
-				// typed limit error and drop the connection.
-				s.stats.oversizeRequest()
-				_ = s.writeJSON(conn, OffloadResponse{Version: ProtocolVersion, Error: ErrRequestTooLarge.Error(), Code: CodeTooLarge})
-			}
-			return
-		}
-		line := scanner.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		s.stats.frameRead(false, len(line)+1)
-		resp := s.handle(line)
-		if err := s.writeJSON(conn, resp); err != nil {
-			return
-		}
-		if s.isClosed() {
-			return
-		}
-	}
-}
-
-// handle parses, validates and schedules one request line.
-func (s *Server) handle(line []byte) OffloadResponse {
-	var req OffloadRequest
-	if err := json.Unmarshal(line, &req); err != nil {
-		s.stats.requestRejected()
-		return OffloadResponse{Version: ProtocolVersion, Error: "malformed request: " + err.Error()}
-	}
-	s.applyDefaults(&req)
+// dispatch validates and schedules one decoded request, whichever codec
+// carried it, and answers it through sink under id: at once when it is
+// rejected or a health probe, after its epoch otherwise.
+func (s *Server) dispatch(req *OffloadRequest, sink replySink, id uint64) {
+	s.applyDefaults(req)
 	if err := req.Validate(); err != nil {
 		s.stats.requestRejected()
-		return OffloadResponse{Version: ProtocolVersion, UserID: req.UserID, Error: err.Error(), Code: rejectionCode(err)}
+		var code string // empty for rejections that predate the typed codes
+		if errors.Is(err, ErrUnsupportedVersion) {
+			code = CodeUnsupportedVersion
+		}
+		sink.send(id, OffloadResponse{Version: ProtocolVersion, UserID: req.UserID, Error: err.Error(), Code: code})
+		return
 	}
 	if req.Type == TypeHealth {
-		return s.handleHealth(req)
+		sink.send(id, s.handleHealth(*req))
+		return
 	}
-	p := pending{req: req, reply: make(chan OffloadResponse, 1), arrived: time.Now()}
+	p := pending{req: *req, sink: sink, sinkID: id, arrived: time.Now()}
 	if resp, ok := s.admit(&p); !ok {
-		return resp
+		sink.send(id, resp)
 	}
-	select {
-	case resp := <-p.reply:
-		return resp
-	case <-s.quit:
-		return OffloadResponse{Version: ProtocolVersion, UserID: req.UserID, Error: "coordinator shutting down", Code: CodeShutdown}
-	}
-}
-
-// rejectionCode classifies a validation error into a typed wire code;
-// empty for rejections that predate the typed codes.
-func rejectionCode(err error) string {
-	if errors.Is(err, ErrUnsupportedVersion) {
-		return CodeUnsupportedVersion
-	}
-	return ""
 }
 
 // admit applies deadline admission control to p and hands it to the batch
 // collector. When the request cannot enter batching, the immediate answer
 // is returned with ok=false; otherwise the collector owns a copy of p and
-// exactly one response will later arrive through p's reply channel or sink.
+// exactly one response will later arrive through p's sink.
 func (s *Server) admit(p *pending) (resp OffloadResponse, ok bool) {
 	if s.cfg.Partition != nil {
 		// Ownership is checked here, at the choke point shared by both wire
@@ -826,13 +744,6 @@ func (s *Server) reply(p *pending, resp OffloadResponse) bool {
 		return false
 	}
 	s.stats.inflightReqs.Add(-1)
-	if p.sink != nil {
-		p.sink.send(p.sinkID, &resp)
-		return true
-	}
-	select {
-	case p.reply <- resp:
-	default:
-	}
+	p.sink.send(p.sinkID, resp)
 	return true
 }

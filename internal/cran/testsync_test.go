@@ -20,3 +20,30 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// chanSink is a replySink that hands each answer to the test through a
+// buffered channel. Like a connection writer it never blocks the caller: an
+// answer that finds the buffer full is dropped.
+type chanSink chan OffloadResponse
+
+func (c chanSink) send(_ uint64, resp OffloadResponse) {
+	select {
+	case c <- resp:
+	default:
+	}
+}
+
+// handleSync decodes and dispatches one JSON request line, as a JSON
+// connection's reader does, and waits for its answer.
+func handleSync(t testing.TB, srv *Server, line []byte) OffloadResponse {
+	t.Helper()
+	sink := make(chanSink, 1)
+	srv.dispatchLine(line, sink)
+	select {
+	case resp := <-sink:
+		return resp
+	case <-time.After(30 * time.Second):
+		t.Fatalf("no answer to %q", line)
+		return OffloadResponse{}
+	}
+}

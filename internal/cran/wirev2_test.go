@@ -23,6 +23,7 @@ import (
 
 	"github.com/tsajs/tsajs/internal/faults"
 	"github.com/tsajs/tsajs/internal/geom"
+	"github.com/tsajs/tsajs/internal/obs"
 	"github.com/tsajs/tsajs/internal/task"
 )
 
@@ -669,28 +670,117 @@ func TestMuxPipelinedFramesOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestMuxContextExpiryKeepsConnection: a context expiry abandons one waiter
-// without severing the other calls multiplexed on the connection.
+// TestMuxContextExpiryKeepsConnection: a context expiry abandons one waiter.
+// On a binary connection the other calls multiplexed on it keep the
+// connection (one dial); a JSON connection is dropped and redialed, since a
+// later request would queue behind the abandoned one on the server's serial
+// line reader.
 func TestMuxContextExpiryKeepsConnection(t *testing.T) {
-	cfg := testServerConfig()
-	cfg.BatchWindow = 150 * time.Millisecond
-	cfg.MaxBatch = 1000
-	srv := startServer(t, cfg)
-	cli := binaryTestClient(t, srv)
+	for _, tc := range []struct {
+		proto string
+		dials uint64
+	}{
+		{ProtoBinary, 1},
+		{ProtoJSON, 2},
+	} {
+		t.Run(tc.proto, func(t *testing.T) {
+			cfg := testServerConfig()
+			cfg.BatchWindow = 150 * time.Millisecond
+			cfg.MaxBatch = 1000
+			srv := startServer(t, cfg)
+			m := obs.NewClientMetrics(obs.NewRegistry())
+			cli, err := NewClient(srv.Addr().String(), ResilienceConfig{
+				MaxAttempts: 1, BreakerThreshold: -1, Protocol: tc.proto, Metrics: m,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
 
-	shortCtx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := cli.Offload(shortCtx, testRequest("expired", 0.1, 0)); err == nil {
-		t.Fatal("request succeeded despite expired context")
+			shortCtx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			defer cancel()
+			if _, err := cli.Offload(shortCtx, testRequest("expired", 0.1, 0)); err == nil {
+				t.Fatal("request succeeded despite expired context")
+			}
+			ctx, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel2()
+			resp, err := cli.Offload(ctx, testRequest("survivor", 0.1, 0.05))
+			if err != nil {
+				t.Fatalf("client did not recover from a sibling's context expiry: %v", err)
+			}
+			if resp.UserID != "survivor" {
+				t.Errorf("answered as %q", resp.UserID)
+			}
+			if got := m.Dials.Value(); got != tc.dials {
+				t.Errorf("dials = %d, want %d", got, tc.dials)
+			}
+		})
 	}
-	ctx, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel2()
-	resp, err := cli.Offload(ctx, testRequest("survivor", 0.1, 0.05))
+}
+
+// TestJSONAnswersInRequestOrder: two request lines written back to back on
+// one raw JSON connection are answered in request order. The user IDs sort
+// against request order, so had both requests ridden one epoch, the
+// solver's user-ID order would have answered them reversed.
+func TestJSONAnswersInRequestOrder(t *testing.T) {
+	srv := startServer(t, testServerConfig())
+	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
-		t.Fatalf("connection did not survive a sibling's context expiry: %v", err)
+		t.Fatal(err)
 	}
-	if resp.UserID != "survivor" {
-		t.Errorf("answered as %q", resp.UserID)
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	var lines []byte
+	for _, id := range []string{"zz-sent-first", "aa-sent-second"} {
+		req := testRequest(id, 0.1, 0.05)
+		req.Version = ProtocolVersion
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(append(lines, b...), '\n')
+	}
+	if _, err := conn.Write(lines); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(conn)
+	for _, want := range []string{"zz-sent-first", "aa-sent-second"} {
+		var resp OffloadResponse
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("waiting for %s: %v", want, err)
+		}
+		if resp.UserID != want || resp.Error != "" {
+			t.Fatalf("got %+v, want a decision for %s", resp, want)
+		}
+	}
+}
+
+// TestBinaryConnectionCapRejects: a binary client over MaxConns is refused
+// in its own codec, so it reports the capacity rejection instead of
+// misreading a JSON line as a frame header.
+func TestBinaryConnectionCapRejects(t *testing.T) {
+	cfg := testServerConfig()
+	cfg.MaxConns = 1
+	srv := startServer(t, cfg)
+	holder := binaryTestClient(t, srv)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	// A health probe forces the lazy dial so the slot is actually held.
+	if _, err := holder.Health(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	cli, err := DialBinary(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	_, err = cli.Offload(ctx, testRequest("over-cap", 0.1, 0.05))
+	if err == nil || !strings.Contains(err.Error(), "capacity") {
+		t.Fatalf("over-cap binary client got %v, want a capacity rejection", err)
+	}
+	if srv.Stats().ThrottledConns == 0 {
+		t.Error("throttled connection not counted")
 	}
 }
 

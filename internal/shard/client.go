@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -195,68 +196,65 @@ func (c *Client) Close() error {
 	return first
 }
 
-// mergeHealth folds per-shard health payloads into a cluster aggregate.
+// mergeHealth folds per-shard health payloads into a cluster aggregate:
+// every numeric Stats field sums and the portfolio maps merge by member,
+// except the fields that do not add — the batch and queue-wait maxima, the
+// epoch-weighted means, and the shard identity. The result shares no map
+// with the inputs.
 func mergeHealth(hs []cran.Health) cran.Health {
 	if len(hs) == 0 {
 		return cran.Health{}
 	}
-	out := hs[0]
-	var (
-		batchW   = hs[0].Stats.MeanBatch * float64(hs[0].Stats.Epochs)
-		latW     = float64(hs[0].Stats.MeanEpochLatency) * float64(hs[0].Stats.Epochs)
-		epochSum = hs[0].Stats.Epochs
-	)
-	for _, h := range hs[1:] {
-		if h.UptimeS < out.UptimeS {
-			out.UptimeS = h.UptimeS
-		}
+	out := cran.Health{UptimeS: hs[0].UptimeS}
+	a := &out.Stats
+	var batchW, latW float64
+	for _, h := range hs {
+		b := h.Stats
+		out.UptimeS = min(out.UptimeS, h.UptimeS)
 		out.ActiveConns += h.ActiveConns
-		a, b := &out.Stats, h.Stats
-		a.Epochs += b.Epochs
-		a.Requests += b.Requests
-		a.Rejected += b.Rejected
-		a.Offloaded += b.Offloaded
-		a.Local += b.Local
-		if b.MaxBatch > a.MaxBatch {
-			a.MaxBatch = b.MaxBatch
-		}
-		a.TotalSolveTime += b.TotalSolveTime
-		a.UtilitySum += b.UtilitySum
-		a.HealthChecks += b.HealthChecks
-		a.PanicsRecovered += b.PanicsRecovered
-		a.OversizeRequests += b.OversizeRequests
-		a.ThrottledConns += b.ThrottledConns
-		a.EpochsRejected += b.EpochsRejected
-		a.QueueDepth += b.QueueDepth
-		a.InflightSolves += b.InflightSolves
-		a.SolverWorkers += b.SolverWorkers
-		a.EpochsDegradedTruncated += b.EpochsDegradedTruncated
-		a.EpochsDegradedCheap += b.EpochsDegradedCheap
-		a.EpochsExpired += b.EpochsExpired
-		a.ShedQueueFull += b.ShedQueueFull
-		a.ShedAdmission += b.ShedAdmission
-		a.ShedExpired += b.ShedExpired
-		a.FullSolvesExpired += b.FullSolvesExpired
-		if b.QueueWaitEstimate > a.QueueWaitEstimate {
-			a.QueueWaitEstimate = b.QueueWaitEstimate
-		}
-		a.BytesRead += b.BytesRead
-		a.BytesWritten += b.BytesWritten
-		a.FramesJSON += b.FramesJSON
-		a.FramesBinary += b.FramesBinary
-		a.InflightRequests += b.InflightRequests
-		a.WrongShard += b.WrongShard
-		a.CellsOwned += b.CellsOwned
+		maxBatch, maxWait := max(a.MaxBatch, b.MaxBatch), max(a.QueueWaitEstimate, b.QueueWaitEstimate)
+		addNumeric(reflect.ValueOf(a).Elem(), reflect.ValueOf(b))
+		a.MaxBatch, a.QueueWaitEstimate = maxBatch, maxWait
+		a.PortfolioMemberSlots = addMap(a.PortfolioMemberSlots, b.PortfolioMemberSlots)
+		a.PortfolioMemberWins = addMap(a.PortfolioMemberWins, b.PortfolioMemberWins)
+		a.PortfolioBudgetMs = addMap(a.PortfolioBudgetMs, b.PortfolioBudgetMs)
 		batchW += b.MeanBatch * float64(b.Epochs)
 		latW += float64(b.MeanEpochLatency) * float64(b.Epochs)
-		epochSum += b.Epochs
 	}
 	// The merged shard identity is meaningless; report the cluster size.
-	out.Stats.ShardIndex = 0
-	out.Stats.ShardCount = len(hs)
-	if epochSum > 0 {
-		out.Stats.MeanBatch = batchW / float64(epochSum)
-		out.Stats.MeanEpochLatency = time.Duration(latW / float64(epochSum))
+	a.ShardIndex, a.ShardCount = 0, len(hs)
+	a.MeanBatch, a.MeanEpochLatency = 0, 0
+	if a.Epochs > 0 {
+		a.MeanBatch = batchW / float64(a.Epochs)
+		a.MeanEpochLatency = time.Duration(latW / float64(a.Epochs))
 	}
 	return out
+}
+
+// addNumeric adds every integer and float field of the struct src into the
+// addressable struct dst of the same type.
+func addNumeric(dst, src reflect.Value) {
+	for i := 0; i < dst.NumField(); i++ {
+		f, g := dst.Field(i), src.Field(i)
+		switch {
+		case f.CanInt():
+			f.SetInt(f.Int() + g.Int())
+		case f.CanUint():
+			f.SetUint(f.Uint() + g.Uint())
+		case f.CanFloat():
+			f.SetFloat(f.Float() + g.Float())
+		}
+	}
+}
+
+// addMap adds src into dst by key, allocating dst on first use, and returns
+// dst.
+func addMap[V uint64 | float64](dst, src map[string]V) map[string]V {
+	for k, v := range src {
+		if dst == nil {
+			dst = make(map[string]V, len(src))
+		}
+		dst[k] += v
+	}
+	return dst
 }

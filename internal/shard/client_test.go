@@ -196,3 +196,64 @@ func TestMergeHealthEmpty(t *testing.T) {
 		t.Errorf("mergeHealth(nil) = %+v, want zero", got)
 	}
 }
+
+// TestMergeHealthSumsEveryCounter: merging shard snapshots sums every
+// numeric Stats field except the named ones that do not add, and merges the
+// portfolio maps into fresh maps without aliasing any shard's.
+func TestMergeHealthSumsEveryCounter(t *testing.T) {
+	notSummed := map[string]bool{
+		"MaxBatch": true, "QueueWaitEstimate": true, // maxima
+		"MeanBatch": true, "MeanEpochLatency": true, // epoch-weighted means
+		"ShardIndex": true, "ShardCount": true, // identity
+	}
+	shard := func(scale int) cran.Health {
+		var h cran.Health
+		v := reflect.ValueOf(&h.Stats).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			switch {
+			case f.CanInt():
+				f.SetInt(int64(scale * (i + 1)))
+			case f.CanUint():
+				f.SetUint(uint64(scale * (i + 1)))
+			case f.CanFloat():
+				f.SetFloat(float64(scale * (i + 1)))
+			}
+		}
+		h.Stats.PortfolioMemberSlots = map[string]uint64{"ttsa": uint64(scale)}
+		h.Stats.PortfolioMemberWins = map[string]uint64{"ttsa": uint64(scale)}
+		h.Stats.PortfolioBudgetMs = map[string]float64{"ttsa": float64(scale)}
+		return h
+	}
+	hs := []cran.Health{shard(1), shard(10)}
+	got := mergeHealth(hs)
+	v := reflect.ValueOf(got.Stats)
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		if notSummed[name] || !(f.CanInt() || f.CanUint() || f.CanFloat()) {
+			continue
+		}
+		want := float64(11 * (i + 1))
+		var gotV float64
+		switch {
+		case f.CanInt():
+			gotV = float64(f.Int())
+		case f.CanUint():
+			gotV = float64(f.Uint())
+		default:
+			gotV = f.Float()
+		}
+		if gotV != want {
+			t.Errorf("merged %s = %g, want the sum %g", name, gotV, want)
+		}
+	}
+	st := got.Stats
+	if st.PortfolioMemberSlots["ttsa"] != 11 || st.PortfolioMemberWins["ttsa"] != 11 || st.PortfolioBudgetMs["ttsa"] != 11 {
+		t.Errorf("portfolio maps merged to %v / %v / %v, want 11 each",
+			st.PortfolioMemberSlots, st.PortfolioMemberWins, st.PortfolioBudgetMs)
+	}
+	st.PortfolioMemberSlots["ttsa"] = 0
+	if hs[0].Stats.PortfolioMemberSlots["ttsa"] != 1 {
+		t.Error("merged portfolio map aliases shard 0's")
+	}
+}
