@@ -19,8 +19,9 @@
 // shard of a K-coordinator cluster, owning the cells the consistent-hash
 // ring assigns to index I and rejecting foreign-cell requests with the
 // typed wrong_shard code. With -router -shard-addrs a,b,... the process
-// instead fronts such a cluster behind a single JSON endpoint, routing each
-// request to the shard owning its cell:
+// instead fronts such a cluster behind a single endpoint, speaking both wire
+// codecs under the same -read-timeout, -max-line-bytes and -max-conns
+// limits, and routing each request to the shard owning its cell:
 //
 //	tsajs-coordinator -listen :7601 -shards 4 -shard-index 0
 //	...
@@ -101,9 +102,10 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	params := defaults
 	params.NumServers = *servers
 	params.NumChannels = *channels
+	limits := tsajs.WireLimits{ReadTimeout: *readTimeout, MaxLineBytes: *maxLine, MaxConns: *maxConns}
 
 	if *router {
-		return runRouter(params, *listen, *shardAddrs, *ringReplicas, *metricsAddr, stdout, stop)
+		return runRouter(params, *listen, *shardAddrs, *ringReplicas, limits, *metricsAddr, stdout, stop)
 	}
 	if *shardAddrs != "" {
 		return fmt.Errorf("-shard-addrs only applies with -router")
@@ -161,17 +163,15 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 
 	reg := tsajs.NewMetricsRegistry()
 	srv, err := tsajs.NewCoordinator(*listen, tsajs.CoordinatorConfig{
-		Params:       params,
-		BatchWindow:  *window,
-		MaxBatch:     *batch,
-		Workers:      *workers,
-		QueueDepth:   *queueDepth,
-		TTSA:         &ttsaCfg,
-		Seed:         *seed,
-		ReadTimeout:  *readTimeout,
-		MaxLineBytes: *maxLine,
-		MaxConns:     *maxConns,
-		Metrics:      reg,
+		Params:      params,
+		BatchWindow: *window,
+		MaxBatch:    *batch,
+		Workers:     *workers,
+		QueueDepth:  *queueDepth,
+		TTSA:        &ttsaCfg,
+		Seed:        *seed,
+		Limits:      limits,
+		Metrics:     reg,
 
 		DefaultDeadline: *deadline,
 		Brownout:        tsajs.BrownoutConfig{Enabled: *brownout},
@@ -194,24 +194,8 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 			deltaCfg.MoveThresholdKm, deltaCfg.WithDefaults().FullEvery)
 	}
 
-	if *metricsAddr != "" {
-		mln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		defer mln.Close()
-		httpSrv := &http.Server{Handler: tsajs.MetricsMux(reg, func() any { return srv.Stats() })}
-		defer httpSrv.Close()
-		go func() { _ = httpSrv.Serve(mln) }()
-		fmt.Fprintf(stdout, "metrics on http://%s/metrics\n", mln.Addr())
-	}
-
-	if stop == nil {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-	} else {
-		<-stop
+	if err := serveUntilStopped(*metricsAddr, tsajs.MetricsMux(reg, func() any { return srv.Stats() }), stdout, stop); err != nil {
+		return err
 	}
 	stats := srv.Stats()
 	fmt.Fprintf(stdout,
@@ -256,9 +240,35 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// runRouter serves the cluster-router mode: a single JSON endpoint fanning
-// requests out to the shard cluster at shardAddrs over the binary protocol.
-func runRouter(params tsajs.Params, listen, shardAddrs string, ringReplicas int, metricsAddr string, stdout io.Writer, stop <-chan struct{}) error {
+// serveUntilStopped serves the introspection endpoint on metricsAddr, when
+// set, and blocks until SIGINT or SIGTERM arrives or stop closes (tests
+// drive it through stop).
+func serveUntilStopped(metricsAddr string, mux http.Handler, stdout io.Writer, stop <-chan struct{}) error {
+	if metricsAddr != "" {
+		mln, err := net.Listen("tcp", metricsAddr)
+		if err != nil {
+			return fmt.Errorf("metrics listener: %w", err)
+		}
+		defer mln.Close()
+		httpSrv := &http.Server{Handler: mux}
+		defer httpSrv.Close()
+		go func() { _ = httpSrv.Serve(mln) }()
+		fmt.Fprintf(stdout, "metrics on http://%s/metrics\n", mln.Addr())
+	}
+	if stop == nil {
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		<-sig
+	} else {
+		<-stop
+	}
+	return nil
+}
+
+// runRouter serves the cluster-router mode: a single endpoint, in either
+// wire codec, fanning requests out to the shard cluster at shardAddrs over
+// the binary protocol.
+func runRouter(params tsajs.Params, listen, shardAddrs string, ringReplicas int, limits tsajs.WireLimits, metricsAddr string, stdout io.Writer, stop <-chan struct{}) error {
 	if shardAddrs == "" {
 		return fmt.Errorf("-router needs -shard-addrs")
 	}
@@ -279,6 +289,7 @@ func runRouter(params tsajs.Params, listen, shardAddrs string, ringReplicas int,
 			Resilience: tsajs.ResilienceConfig{Protocol: tsajs.CoordinatorProtocolBinary},
 			Metrics:    reg,
 		},
+		Limits:  limits,
 		Metrics: reg,
 	})
 	if err != nil {
@@ -288,24 +299,8 @@ func runRouter(params tsajs.Params, listen, shardAddrs string, ringReplicas int,
 	fmt.Fprintf(stdout, "router listening on %s fronting %d shards (S=%d)\n",
 		rt.Addr(), len(addrs), params.NumServers)
 
-	if metricsAddr != "" {
-		mln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		defer mln.Close()
-		httpSrv := &http.Server{Handler: tsajs.MetricsMux(reg, nil)}
-		defer httpSrv.Close()
-		go func() { _ = httpSrv.Serve(mln) }()
-		fmt.Fprintf(stdout, "metrics on http://%s/metrics\n", mln.Addr())
-	}
-
-	if stop == nil {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-	} else {
-		<-stop
+	if err := serveUntilStopped(metricsAddr, tsajs.MetricsMux(reg, nil), stdout, stop); err != nil {
+		return err
 	}
 	cli := rt.Client()
 	var perShard []uint64

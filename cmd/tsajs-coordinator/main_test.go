@@ -188,6 +188,22 @@ func TestCoordinatorRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRouterHonoursWireLimitFlags: the router mode serves under the same
+// -read-timeout, -max-line-bytes and -max-conns limits as a coordinator, so
+// an invalid limit is refused before anything is served.
+func TestRouterHonoursWireLimitFlags(t *testing.T) {
+	stopped := make(chan struct{})
+	close(stopped) // a router that does start returns at once
+	var sb strings.Builder
+	err := run([]string{"-router", "-shard-addrs", "127.0.0.1:1", "-max-line-bytes", "100"}, &sb, stopped)
+	if err == nil || !strings.Contains(err.Error(), "max line length") {
+		t.Fatalf("router with -max-line-bytes 100 returned %v, want the limits validation error", err)
+	}
+	if strings.Contains(sb.String(), "router listening") {
+		t.Errorf("router started despite the invalid limit:\n%s", sb.String())
+	}
+}
+
 // TestCoordinatorDeltaFlag serves two epochs in delta mode through the
 // command's flag surface and asserts the mode banner and the shutdown
 // summary's full/repair split.

@@ -82,11 +82,12 @@ func (m *clientMux) close(err error) {
 	}
 }
 
-// alive reports whether the mux can still carry requests.
-func (m *clientMux) alive() bool {
+// cause returns the error the mux died of, nil while it can still carry
+// requests.
+func (m *clientMux) cause() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.err == nil
+	return m.err
 }
 
 // send assigns the next request ID, registers ch under it, and writes req
@@ -254,17 +255,20 @@ func (c *Client) liveMux() *clientMux {
 	c.connMu.Lock()
 	m := c.mux
 	c.connMu.Unlock()
-	if m != nil && m.alive() {
+	if m != nil && m.cause() == nil {
 		return m
 	}
 	return nil
 }
 
+// errConnDropped is the cause of a mux the client itself dropped.
+var errConnDropped = errors.New("cran: connection dropped after transport failure")
+
 // dropMux discards m if it is still the client's current mux, so the next
 // attempt redials. Concurrent calls may race here after a shared transport
 // failure; only the first drop closes it.
 func (c *Client) dropMux(m *clientMux) {
-	m.close(errors.New("cran: connection dropped after transport failure"))
+	m.close(errConnDropped)
 	c.connMu.Lock()
 	if c.mux == m {
 		c.mux = nil
@@ -301,6 +305,12 @@ func (c *Client) exchange(ctx context.Context, req *OffloadRequest) (OffloadResp
 		c.dropMux(m) // a partial write poisons the stream for every call
 		if ctx.Err() != nil {
 			return OffloadResponse{}, fmt.Errorf("cran: %w", ctx.Err())
+		}
+		// The write also fails when the demux has just closed the
+		// connection on the server's answer to all of it, such as a
+		// capacity refusal: report that answer, as the waiter would.
+		if cause := m.cause(); cause != errConnDropped {
+			return OffloadResponse{}, cause
 		}
 		return OffloadResponse{}, fmt.Errorf("cran: send: %w", err)
 	}

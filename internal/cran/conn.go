@@ -1,11 +1,13 @@
 package cran
 
-// The connection layer, shared by both wire codecs. serveConn negotiates a
-// connection's codec from its first bytes; the two readers differ only in
-// framing (newline-delimited JSON lines, or the wirev2 handshake and
-// length-prefixed frames) and hand every decoded request to one dispatch.
-// Every answer goes out through the connection's connWriter, which encodes
-// it in the negotiated codec and writes it from a dedicated goroutine. See
+// The connection layer, shared by both wire codecs and by every TCP front
+// end (the coordinator's Server and the shard router). A Listener accepts
+// connections up to its MaxConns cap; serveConn negotiates each connection's
+// codec from its first bytes; the two readers differ only in framing
+// (newline-delimited JSON lines, or the wirev2 handshake and length-prefixed
+// frames) and hand every decoded request to the Listener's Handler. Every
+// answer goes out through the connection's connWriter, which encodes it in
+// the negotiated codec and writes it from a dedicated goroutine. See
 // wirev2.go for the binary codec and DESIGN.md §13 for the specification.
 
 import (
@@ -19,7 +21,252 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"github.com/tsajs/tsajs/internal/obs"
 )
+
+// Limits are the wire limits a Listener enforces on every connection.
+type Limits struct {
+	// ReadTimeout is the per-connection idle read deadline: a connection
+	// that sends nothing for this long is closed, so dead or wedged
+	// clients cannot pin server resources. Zero defaults to 5 minutes;
+	// negative disables the deadline.
+	ReadTimeout time.Duration
+	// MaxLineBytes caps one request line or frame on the wire. Oversize
+	// requests are answered with ErrRequestTooLarge (ErrFrameTooLarge on
+	// the binary codec) and the connection is closed: the message boundary
+	// is lost, so the stream cannot be resynced. Zero defaults to 1 MiB.
+	MaxLineBytes int
+	// MaxConns caps concurrently served connections; connections beyond
+	// the cap are answered with an error response in their codec and closed.
+	// Zero defaults to 256.
+	MaxConns int
+}
+
+func (l Limits) withDefaults() Limits {
+	if l.ReadTimeout == 0 {
+		l.ReadTimeout = 5 * time.Minute
+	}
+	if l.MaxLineBytes == 0 {
+		l.MaxLineBytes = 1 << 20
+	}
+	if l.MaxConns == 0 {
+		l.MaxConns = 256
+	}
+	return l
+}
+
+// Validate checks the limits, zero fields taking their defaults.
+func (l Limits) Validate() error {
+	l = l.withDefaults()
+	if l.MaxLineBytes < 1024 {
+		return fmt.Errorf("cran: max line length must be at least 1024 bytes, got %d", l.MaxLineBytes)
+	}
+	if l.MaxConns < 0 {
+		return fmt.Errorf("cran: max connections must be non-negative, got %d", l.MaxConns)
+	}
+	return nil
+}
+
+// Answer is where a Handler sends the one answer to a request: the
+// connection's writer, under the request ID the request arrived with. It is
+// a value, so handing it to a handler costs no allocation.
+type Answer struct {
+	sink replySink
+	id   uint64
+}
+
+// Send delivers the answer. It never blocks, and may be called from any
+// goroutine.
+func (a Answer) Send(resp OffloadResponse) { a.sink.send(a.id, resp) }
+
+// Handler serves one decoded request whose envelope version the Listener
+// has already checked. It must answer exactly once through a, now or later
+// and from any goroutine; a JSON connection reads its next request only
+// after the answer is sent.
+type Handler func(req OffloadRequest, a Answer)
+
+// Listener serves a TCP listener in both wire codecs, passing every decoded
+// request to its Handler. Create with Serve, stop with Close.
+type Listener struct {
+	ln    net.Listener
+	lim   Limits
+	h     Handler
+	stats *wireStats
+	// refusal is the error an over-cap connection is answered with.
+	refusal string
+
+	quit chan struct{}
+	wg   sync.WaitGroup
+
+	mu     sync.Mutex
+	closed bool
+	conns  map[net.Conn]struct{}
+	// refusing holds one token per over-cap connection being refused.
+	refusing chan struct{}
+}
+
+// Serve starts serving ln with h under lim, which must be valid (zero fields
+// take their defaults). name identifies the server: its wire counters
+// register in reg as tsajs_<name>_*, and an over-cap connection is refused
+// with "<name> at connection capacity".
+func Serve(ln net.Listener, lim Limits, reg *obs.Registry, name string, h Handler) *Listener {
+	l := &Listener{
+		ln:       ln,
+		lim:      lim.withDefaults(),
+		h:        h,
+		stats:    newWireStats(reg, name),
+		refusal:  name + " at connection capacity",
+		quit:     make(chan struct{}),
+		conns:    make(map[net.Conn]struct{}),
+		refusing: make(chan struct{}, maxRefusals),
+	}
+	l.wg.Add(1)
+	go l.acceptLoop()
+	return l
+}
+
+// Addr returns the listening address.
+func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
+
+// Close stops accepting, closes every connection, and waits for the
+// connection goroutines to exit. Answers sent after Close are dropped. It is
+// idempotent.
+func (l *Listener) Close() error {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil
+	}
+	l.closed = true
+	for conn := range l.conns {
+		_ = conn.Close()
+	}
+	l.mu.Unlock()
+	close(l.quit)
+	err := l.ln.Close()
+	l.wg.Wait()
+	return err
+}
+
+func (l *Listener) isClosed() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.closed
+}
+
+func (l *Listener) acceptLoop() {
+	defer l.wg.Done()
+	backoff := 5 * time.Millisecond
+	for {
+		conn, err := l.ln.Accept()
+		if err != nil {
+			if l.isClosed() {
+				return
+			}
+			// Transient accept error (EMFILE, chaos wrapper, ...): back
+			// off so a persistent failure cannot spin the loop hot.
+			select {
+			case <-time.After(backoff):
+			case <-l.quit:
+				return
+			}
+			if backoff *= 2; backoff > time.Second {
+				backoff = time.Second
+			}
+			continue
+		}
+		backoff = 5 * time.Millisecond
+		l.mu.Lock()
+		if l.closed {
+			l.mu.Unlock()
+			_ = conn.Close()
+			return
+		}
+		if len(l.conns) >= l.lim.MaxConns {
+			l.mu.Unlock()
+			l.stats.throttled.Inc()
+			// Tell the client why, in its codec, before hanging up, so it
+			// can degrade rather than diagnose a silent close.
+			select {
+			case l.refusing <- struct{}{}:
+				l.wg.Add(1)
+				go l.refuseConn(conn)
+			default:
+				_ = conn.Close()
+			}
+			continue
+		}
+		l.conns[conn] = struct{}{}
+		active := len(l.conns)
+		l.mu.Unlock()
+		l.stats.activeConns.Set(float64(active))
+		l.wg.Add(1)
+		go l.serveConn(conn)
+	}
+}
+
+// wireStats are a Listener's wire counters, registered as tsajs_<name>_*.
+// Registering the same name twice in one registry returns the same series,
+// so the coordinator's Stats snapshot reads the counters its Listener
+// writes.
+type wireStats struct {
+	bytesRead    *obs.Counter
+	bytesWritten *obs.Counter
+	framesJSON   *obs.Counter
+	framesBinary *obs.Counter
+	rejected     *obs.Counter
+	panics       *obs.Counter
+	oversize     *obs.Counter
+	throttled    *obs.Counter
+	activeConns  *obs.Gauge
+}
+
+func newWireStats(reg *obs.Registry, name string) *wireStats {
+	p := "tsajs_" + name + "_"
+	return &wireStats{
+		bytesRead: reg.Counter(p+"bytes_read_total",
+			"Bytes read off the wire across both protocols (request lines, frames, handshakes)."),
+		bytesWritten: reg.Counter(p+"bytes_written_total",
+			"Bytes written to the wire across both protocols (response lines and frames)."),
+		framesJSON: reg.Counter(p+"frames_total",
+			"Protocol frames processed in either direction, by codec.",
+			obs.Label{Key: "codec", Value: "json"}),
+		framesBinary: reg.Counter(p+"frames_total",
+			"Protocol frames processed in either direction, by codec.",
+			obs.Label{Key: "codec", Value: "binary"}),
+		rejected: reg.Counter(p+"rejected_total",
+			"Requests rejected: malformed, invalid, or failed during shutdown or scheduling."),
+		panics: reg.Counter(p+"panics_recovered_total",
+			"Panics confined to one connection or epoch."),
+		oversize: reg.Counter(p+"oversize_requests_total",
+			"Request lines rejected for exceeding the wire size limit."),
+		throttled: reg.Counter(p+"throttled_conns_total",
+			"Connections refused at the concurrent-connection cap."),
+		activeConns: reg.Gauge(p+"active_conns",
+			"Currently served connections."),
+	}
+}
+
+// frameRead counts one inbound protocol frame of n wire bytes.
+func (c *wireStats) frameRead(binaryCodec bool, n int) {
+	c.bytesRead.Add(uint64(n))
+	if binaryCodec {
+		c.framesBinary.Inc()
+	} else {
+		c.framesJSON.Inc()
+	}
+}
+
+// frameWritten counts one outbound protocol frame of n wire bytes.
+func (c *wireStats) frameWritten(binaryCodec bool, n int) {
+	c.bytesWritten.Add(uint64(n))
+	if binaryCodec {
+		c.framesBinary.Inc()
+	} else {
+		c.framesJSON.Inc()
+	}
+}
 
 // replySink receives the answer to one dispatched request under the request
 // ID it arrived with. The answer travels by value: a pointer would escape
@@ -76,7 +323,7 @@ const connWriterQueue = 256
 // goroutine, so solver workers finish their epochs at memory speed however
 // slow the client's socket drains.
 type connWriter struct {
-	srv    *Server
+	l      *Listener
 	conn   net.Conn
 	binary bool
 	// turn, on a JSON connection, receives a token each time an answer is
@@ -89,10 +336,10 @@ type connWriter struct {
 	once sync.Once
 }
 
-// startWriter starts conn's writer goroutine, tracked in s.wg.
-func (s *Server) startWriter(conn net.Conn, binaryCodec bool) *connWriter {
+// startWriter starts conn's writer goroutine, tracked in l.wg.
+func (l *Listener) startWriter(conn net.Conn, binaryCodec bool) *connWriter {
 	w := &connWriter{
-		srv:    s,
+		l:      l,
 		conn:   conn,
 		binary: binaryCodec,
 		ch:     make(chan *frameBuf, connWriterQueue),
@@ -102,7 +349,7 @@ func (s *Server) startWriter(conn net.Conn, binaryCodec bool) *connWriter {
 	if !binaryCodec {
 		w.turn = make(chan struct{}, 1)
 	}
-	s.wg.Add(1)
+	l.wg.Add(1)
 	go w.loop()
 	return w
 }
@@ -150,7 +397,7 @@ func (w *connWriter) abort(f *frameBuf) {
 // those writes fail fast) and exits.
 func (w *connWriter) loop() {
 	defer close(w.done)
-	defer w.srv.wg.Done()
+	defer w.l.wg.Done()
 	for {
 		select {
 		case f := <-w.ch:
@@ -168,7 +415,7 @@ func (w *connWriter) loop() {
 					return
 				}
 			}
-		case <-w.srv.quit:
+		case <-w.l.quit:
 			w.kill()
 		}
 	}
@@ -183,7 +430,7 @@ func (w *connWriter) write(f *frameBuf) bool {
 		w.kill()
 		return false
 	}
-	w.srv.stats.frameWritten(w.binary, n)
+	w.l.stats.frameWritten(w.binary, n)
 	return true
 }
 
@@ -201,24 +448,24 @@ func negotiate(conn net.Conn) (br *bufio.Reader, binaryCodec bool) {
 // serveConn serves one accepted connection in the codec it negotiates. A
 // panic while serving one connection is confined to that connection: it is
 // recovered, counted, and the connection closed.
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
+func (l *Listener) serveConn(conn net.Conn) {
+	defer l.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			s.stats.panicRecovered()
+			l.stats.panics.Inc()
 		}
 		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		active := len(s.conns)
-		s.mu.Unlock()
-		s.stats.activeConns.Set(float64(active))
+		l.mu.Lock()
+		delete(l.conns, conn)
+		active := len(l.conns)
+		l.mu.Unlock()
+		l.stats.activeConns.Set(float64(active))
 	}()
-	if s.cfg.ReadTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+	if l.lim.ReadTimeout > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(l.lim.ReadTimeout))
 	}
 	br, binaryCodec := negotiate(conn)
-	w := s.startWriter(conn, binaryCodec)
+	w := l.startWriter(conn, binaryCodec)
 	// The writer outlives the reader just long enough to flush queued
 	// answers; the deferred conn.Close above runs after it.
 	defer func() {
@@ -226,9 +473,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		<-w.done
 	}()
 	if binaryCodec {
-		s.serveBinary(br, w)
+		l.serveBinary(br, w)
 	} else {
-		s.serveJSON(br, w)
+		l.serveJSON(br, w)
 	}
 }
 
@@ -245,36 +492,36 @@ const maxRefusals = 64
 // a binary client would misread a JSON line as a frame header — and closes
 // it. The binary refusal travels under request ID 0, which a client takes
 // as the answer to its whole connection.
-func (s *Server) refuseConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() { <-s.refusing }()
+func (l *Listener) refuseConn(conn net.Conn) {
+	defer l.wg.Done()
+	defer func() { <-l.refusing }()
 	defer conn.Close()
 	_ = conn.SetReadDeadline(time.Now().Add(refuseWindow))
 	_, binaryCodec := negotiate(conn)
 	var f frameBuf
-	resp := OffloadResponse{Version: ProtocolVersion, Error: "coordinator at connection capacity"}
+	resp := OffloadResponse{Version: ProtocolVersion, Error: l.refusal}
 	_ = f.encodeAnswer(binaryCodec, 0, &resp) // no float to fail on
 	_ = conn.SetWriteDeadline(time.Now().Add(refuseWindow))
 	if n, err := conn.Write(f.b); err == nil {
-		s.stats.frameWritten(binaryCodec, n)
+		l.stats.frameWritten(binaryCodec, n)
 	}
 }
 
 // serveJSON reads newline-delimited requests, one in flight at a time: after
 // dispatching a line it waits for the answer to be queued before reading
 // the next, so answers leave in request order.
-func (s *Server) serveJSON(br *bufio.Reader, w *connWriter) {
+func (l *Listener) serveJSON(br *bufio.Reader, w *connWriter) {
 	scanner := bufio.NewScanner(br)
-	scanner.Buffer(make([]byte, min(64*1024, s.cfg.MaxLineBytes)), s.cfg.MaxLineBytes)
+	scanner.Buffer(make([]byte, min(64*1024, l.lim.MaxLineBytes)), l.lim.MaxLineBytes)
 	for {
-		if s.cfg.ReadTimeout > 0 {
-			_ = w.conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		if l.lim.ReadTimeout > 0 {
+			_ = w.conn.SetReadDeadline(time.Now().Add(l.lim.ReadTimeout))
 		}
 		if !scanner.Scan() {
 			if errors.Is(scanner.Err(), bufio.ErrTooLong) {
 				// The scanner lost the line boundary, so answer with the
 				// typed limit error and drop the connection.
-				s.stats.oversizeRequest()
+				l.stats.oversize.Inc()
 				w.send(0, OffloadResponse{Version: ProtocolVersion, Error: ErrRequestTooLarge.Error(), Code: CodeTooLarge})
 			}
 			return
@@ -283,14 +530,14 @@ func (s *Server) serveJSON(br *bufio.Reader, w *connWriter) {
 		if len(line) == 0 {
 			continue
 		}
-		s.stats.frameRead(false, len(line)+1)
-		s.dispatchLine(line, w)
+		l.stats.frameRead(false, len(line)+1)
+		l.dispatchLine(line, w)
 		select {
 		case <-w.turn:
 		case <-w.dead:
 			return
 		}
-		if s.isClosed() {
+		if l.isClosed() {
 			return
 		}
 	}
@@ -298,14 +545,25 @@ func (s *Server) serveJSON(br *bufio.Reader, w *connWriter) {
 
 // dispatchLine decodes one JSON request line and dispatches it; a line that
 // does not decode is answered as malformed.
-func (s *Server) dispatchLine(line []byte, sink replySink) {
+func (l *Listener) dispatchLine(line []byte, sink replySink) {
 	var req OffloadRequest
 	if err := json.Unmarshal(line, &req); err != nil {
-		s.stats.requestRejected()
+		l.stats.rejected.Inc()
 		sink.send(0, OffloadResponse{Version: ProtocolVersion, Error: "malformed request: " + err.Error()})
 		return
 	}
-	s.dispatch(&req, sink, 0)
+	l.dispatch(req, Answer{sink, 0})
+}
+
+// dispatch hands one decoded request to the handler, whichever codec carried
+// it, after answering an envelope version the protocol does not speak.
+func (l *Listener) dispatch(req OffloadRequest, a Answer) {
+	if err := req.checkVersion(); err != nil {
+		l.stats.rejected.Inc()
+		a.Send(OffloadResponse{Version: ProtocolVersion, UserID: req.UserID, Error: err.Error(), Code: CodeUnsupportedVersion})
+		return
+	}
+	l.h(req, a)
 }
 
 // serveBinary reads wirev2 frames from one negotiated connection. Request
@@ -317,14 +575,14 @@ func (s *Server) dispatchLine(line []byte, sink replySink) {
 // poisons the boundary itself, so those close the connection after a typed
 // answer. Closing the connection abandons its in-flight requests: their
 // epochs still solve, but the answers are dropped at the writer.
-func (s *Server) serveBinary(br *bufio.Reader, w *connWriter) {
+func (l *Listener) serveBinary(br *bufio.Reader, w *connWriter) {
 	var hs [handshakeLen]byte
 	if _, err := io.ReadFull(br, hs[:]); err != nil {
 		return
 	}
-	s.stats.bytesRead.Add(uint64(handshakeLen))
+	l.stats.bytesRead.Add(uint64(handshakeLen))
 	if v := hs[len(wireMagic)]; v != WireVersion {
-		s.stats.requestRejected()
+		l.stats.rejected.Inc()
 		w.send(0, OffloadResponse{
 			Version: ProtocolVersion,
 			Error:   fmt.Sprintf("%s: handshake version %d, want %d", ErrUnsupportedVersion.Error(), v, WireVersion),
@@ -335,19 +593,19 @@ func (s *Server) serveBinary(br *bufio.Reader, w *connWriter) {
 	var hdr [4]byte
 	var big []byte // spill buffer for frames larger than the read buffer
 	for {
-		if s.cfg.ReadTimeout > 0 {
-			_ = w.conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		if l.lim.ReadTimeout > 0 {
+			_ = w.conn.SetReadDeadline(time.Now().Add(l.lim.ReadTimeout))
 		}
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
 		n := int(binary.BigEndian.Uint32(hdr[:]))
-		if n > s.cfg.MaxLineBytes {
+		if n > l.lim.MaxLineBytes {
 			// The length word itself is untrusted now; answer and close.
-			s.stats.oversizeRequest()
+			l.stats.oversize.Inc()
 			w.send(0, OffloadResponse{
 				Version: ProtocolVersion,
-				Error:   fmt.Sprintf("%s: frame of %d bytes exceeds %d", ErrFrameTooLarge.Error(), n, s.cfg.MaxLineBytes),
+				Error:   fmt.Sprintf("%s: frame of %d bytes exceeds %d", ErrFrameTooLarge.Error(), n, l.lim.MaxLineBytes),
 				Code:    CodeTooLarge,
 			})
 			return
@@ -371,14 +629,14 @@ func (s *Server) serveBinary(br *bufio.Reader, w *connWriter) {
 				return
 			}
 		}
-		s.stats.frameRead(true, 4+n)
-		s.dispatchFrame(payload, w)
+		l.stats.frameRead(true, 4+n)
+		l.dispatchFrame(payload, w)
 		if n <= br.Size() {
 			if _, err := br.Discard(n); err != nil {
 				return
 			}
 		}
-		if s.isClosed() {
+		if l.isClosed() {
 			return
 		}
 	}
@@ -386,7 +644,7 @@ func (s *Server) serveBinary(br *bufio.Reader, w *connWriter) {
 
 // dispatchFrame decodes one binary frame payload and dispatches it; a frame
 // that does not decode to a request is answered as malformed.
-func (s *Server) dispatchFrame(payload []byte, sink replySink) {
+func (l *Listener) dispatchFrame(payload []byte, sink replySink) {
 	frameType, id, body, err := decodeFramePayload(payload)
 	var req OffloadRequest
 	switch {
@@ -399,9 +657,9 @@ func (s *Server) dispatchFrame(payload []byte, sink replySink) {
 		}
 	}
 	if err != nil {
-		s.stats.requestRejected()
+		l.stats.rejected.Inc()
 		sink.send(id, OffloadResponse{Version: ProtocolVersion, Error: err.Error()})
 		return
 	}
-	s.dispatch(&req, sink, id)
+	l.dispatch(req, Answer{sink, id})
 }

@@ -226,7 +226,7 @@ func (w *solveWorker) expireBatch(eb epochBatch) []pending {
 func (w *solveWorker) solveEpochSafe(eb epochBatch) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.srv.stats.panicRecovered()
+			w.srv.stats.panics.Inc()
 			w.failEpoch(eb, fmt.Sprintf("internal error: %v", r))
 		}
 	}()

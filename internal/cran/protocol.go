@@ -159,8 +159,8 @@ type OffloadRequest struct {
 // Validate checks the request's domain (defaults are applied before this
 // is called server-side).
 func (r OffloadRequest) Validate() error {
-	if r.Version != ProtocolVersion {
-		return fmt.Errorf("%w: envelope version %d, want %d", ErrUnsupportedVersion, r.Version, ProtocolVersion)
+	if err := r.checkVersion(); err != nil {
+		return err
 	}
 	switch r.Type {
 	case "", TypeOffload:
@@ -177,6 +177,15 @@ func (r OffloadRequest) Validate() error {
 		return fmt.Errorf("cran: deadline must be a non-negative duration, got %gms", r.DeadlineMs)
 	}
 	return r.Task.Validate()
+}
+
+// checkVersion rejects an envelope carrying a version other than
+// ProtocolVersion.
+func (r OffloadRequest) checkVersion() error {
+	if r.Version != ProtocolVersion {
+		return fmt.Errorf("%w: envelope version %d, want %d", ErrUnsupportedVersion, r.Version, ProtocolVersion)
+	}
+	return nil
 }
 
 // OffloadResponse is the coordinator's decision for one request.

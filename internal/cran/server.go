@@ -1,7 +1,6 @@
 package cran
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -41,20 +40,9 @@ type ServerConfig struct {
 	TTSA *core.Config
 	// Seed drives the coordinator's channel estimator and search.
 	Seed uint64
-	// ReadTimeout is the per-connection idle read deadline: a connection
-	// that sends nothing for this long is closed, so dead or wedged
-	// clients cannot pin server resources. Zero defaults to 5 minutes;
-	// negative disables the deadline.
-	ReadTimeout time.Duration
-	// MaxLineBytes caps one request line on the wire. Oversize requests
-	// are answered with ErrRequestTooLarge and the connection is closed
-	// (the line boundary is lost, so the stream cannot be resynced).
-	// Zero defaults to 1 MiB.
-	MaxLineBytes int
-	// MaxConns caps concurrently served connections; connections beyond
-	// the cap are answered with an error response in their codec and closed.
-	// Zero defaults to 256.
-	MaxConns int
+	// Limits are the wire limits every connection is served under: the
+	// idle read deadline, the request size cap and the connection cap.
+	Limits
 	// Workers is the number of solver workers draining the epoch queue.
 	// Workers share the stateless schedulers and each owns its reusable
 	// epoch scratch, so K workers solve up to K epochs concurrently while
@@ -135,15 +123,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.ReadTimeout == 0 {
-		c.ReadTimeout = 5 * time.Minute
-	}
-	if c.MaxLineBytes == 0 {
-		c.MaxLineBytes = 1 << 20
-	}
-	if c.MaxConns == 0 {
-		c.MaxConns = 256
-	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -168,11 +147,8 @@ func (c ServerConfig) Validate() error {
 	if cc.MaxBatch <= 0 {
 		return fmt.Errorf("cran: max batch must be positive, got %d", cc.MaxBatch)
 	}
-	if cc.MaxLineBytes < 1024 {
-		return fmt.Errorf("cran: max line length must be at least 1024 bytes, got %d", cc.MaxLineBytes)
-	}
-	if cc.MaxConns < 0 {
-		return fmt.Errorf("cran: max connections must be non-negative, got %d", cc.MaxConns)
+	if err := cc.Limits.Validate(); err != nil {
+		return err
 	}
 	if cc.Workers < 0 {
 		return fmt.Errorf("cran: worker count must be non-negative, got %d", cc.Workers)
@@ -239,7 +215,7 @@ type pending struct {
 // Server is a running coordinator. Create with NewServer, stop with Close.
 type Server struct {
 	cfg     ServerConfig
-	ln      net.Listener
+	lis     *Listener
 	sites   []geom.Point
 	servers []scenario.Server
 	submit  chan pending
@@ -266,16 +242,11 @@ type Server struct {
 	brownout *brownoutController
 	wait     waitEstimator
 
-	quit    chan struct{}
-	wg      sync.WaitGroup
-	metrics *obs.Registry
-	stats   *statsCollector
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	// refusing holds one token per over-cap connection being refused.
-	refusing chan struct{}
+	quit      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
+	metrics   *obs.Registry
+	stats     *statsCollector
 }
 
 // NewServer starts a coordinator listening on addr (e.g. "127.0.0.1:0").
@@ -293,13 +264,6 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln := cfg.Listener
-	if ln == nil {
-		ln, err = net.Listen("tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("cran: listen: %w", err)
-		}
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -311,18 +275,15 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	solverObs := obs.NewSolverMetrics(reg)
 	ttsa = ttsa.WithObserver(solverObs)
 	s := &Server{
-		cfg:      cfg,
-		ttsa:     ttsa,
-		ln:       ln,
-		sites:    geom.HexLayout(cfg.Params.NumServers, cfg.Params.InterSiteKm),
-		submit:   make(chan pending),
-		solveQ:   make(chan epochBatch, cfg.QueueDepth),
-		quit:     make(chan struct{}),
-		metrics:  reg,
-		stats:    newStatsCollector(reg),
-		conns:    make(map[net.Conn]struct{}),
-		refusing: make(chan struct{}, maxRefusals),
-		started:  time.Now(),
+		cfg:     cfg,
+		ttsa:    ttsa,
+		sites:   geom.HexLayout(cfg.Params.NumServers, cfg.Params.InterSiteKm),
+		submit:  make(chan pending),
+		solveQ:  make(chan epochBatch, cfg.QueueDepth),
+		quit:    make(chan struct{}),
+		metrics: reg,
+		stats:   newStatsCollector(reg),
+		started: time.Now(),
 	}
 	// Degraded-tier solvers exist only when brownout is on, so a disabled
 	// coordinator carries zero extra state on the serving path.
@@ -387,8 +348,15 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		s.stats.cellsOwned.Set(float64(len(pc.OwnedCells())))
 	}
 	s.stats.workers.Set(float64(cfg.Workers))
-	s.wg.Add(2 + cfg.Workers)
-	go s.acceptLoop()
+	ln := cfg.Listener
+	if ln == nil {
+		ln, err = net.Listen("tcp", addr)
+		if err != nil {
+			return nil, fmt.Errorf("cran: listen: %w", err)
+		}
+	}
+	s.lis = Serve(ln, cfg.Limits, reg, "coordinator", s.dispatch)
+	s.wg.Add(1 + cfg.Workers)
 	go s.batchLoop()
 	for i := 0; i < cfg.Workers; i++ {
 		go s.newSolveWorker().loop()
@@ -397,111 +365,45 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 }
 
 // Addr returns the listening address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
+func (s *Server) Addr() net.Addr { return s.lis.Addr() }
 
 // Close stops accepting connections, fails pending requests, and waits for
 // all server goroutines to exit. It is idempotent.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for conn := range s.conns {
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	close(s.quit)
-	// Wake any worker parked in a chain's acquire — the collector is about
-	// to close the solve queue and those epochs will never be solved — and
-	// any collector parked in a selector's Plan wait.
-	for _, ch := range s.chains {
-		ch.close()
-	}
-	err := s.ln.Close()
-	s.wg.Wait()
+	var err error
+	s.closeOnce.Do(func() {
+		close(s.quit)
+		// Wake any worker parked in a chain's acquire — the collector is
+		// about to close the solve queue and those epochs will never be
+		// solved — and any collector parked in a selector's Plan wait.
+		for _, ch := range s.chains {
+			ch.close()
+		}
+		err = s.lis.Close()
+		s.wg.Wait()
+	})
 	return err
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	backoff := 5 * time.Millisecond
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			if s.isClosed() {
-				return
-			}
-			// Transient accept error (EMFILE, chaos wrapper, ...): back
-			// off so a persistent failure cannot spin the loop hot.
-			select {
-			case <-time.After(backoff):
-			case <-s.quit:
-				return
-			}
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-			continue
-		}
-		backoff = 5 * time.Millisecond
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		if len(s.conns) >= s.cfg.MaxConns {
-			s.mu.Unlock()
-			s.stats.connThrottled()
-			// Tell the client why, in its codec, before hanging up, so it
-			// can degrade rather than diagnose a silent close.
-			select {
-			case s.refusing <- struct{}{}:
-				s.wg.Add(1)
-				go s.refuseConn(conn)
-			default:
-				_ = conn.Close()
-			}
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		active := len(s.conns)
-		s.mu.Unlock()
-		s.stats.activeConns.Set(float64(active))
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-// dispatch validates and schedules one decoded request, whichever codec
-// carried it, and answers it through sink under id: at once when it is
-// rejected or a health probe, after its epoch otherwise.
-func (s *Server) dispatch(req *OffloadRequest, sink replySink, id uint64) {
-	s.applyDefaults(req)
+// dispatch is the coordinator's Handler: it validates and schedules one
+// decoded request, whichever codec carried it, and answers it through a: at
+// once when it is rejected or a health probe, after its epoch otherwise.
+func (s *Server) dispatch(req OffloadRequest, a Answer) {
+	s.applyDefaults(&req)
 	if err := req.Validate(); err != nil {
+		// The Listener has already answered unsupported versions, so every
+		// rejection here predates the typed codes and carries none.
 		s.stats.requestRejected()
-		var code string // empty for rejections that predate the typed codes
-		if errors.Is(err, ErrUnsupportedVersion) {
-			code = CodeUnsupportedVersion
-		}
-		sink.send(id, OffloadResponse{Version: ProtocolVersion, UserID: req.UserID, Error: err.Error(), Code: code})
+		a.Send(OffloadResponse{Version: ProtocolVersion, UserID: req.UserID, Error: err.Error()})
 		return
 	}
 	if req.Type == TypeHealth {
-		sink.send(id, s.handleHealth(*req))
+		a.Send(s.handleHealth(req))
 		return
 	}
-	p := pending{req: *req, sink: sink, sinkID: id, arrived: time.Now()}
+	p := pending{req: req, sink: a.sink, sinkID: a.id, arrived: time.Now()}
 	if resp, ok := s.admit(&p); !ok {
-		sink.send(id, resp)
+		a.Send(resp)
 	}
 }
 
@@ -571,16 +473,13 @@ func (s *Server) handleHealth(req OffloadRequest) OffloadResponse {
 		return OffloadResponse{Version: ProtocolVersion, UserID: req.UserID, Error: "coordinator shutting down", Code: CodeShutdown}
 	default:
 	}
-	s.mu.Lock()
-	active := len(s.conns)
-	s.mu.Unlock()
 	s.stats.healthServed()
 	return OffloadResponse{
 		Version: ProtocolVersion,
 		UserID:  req.UserID,
 		Health: &Health{
 			UptimeS:     time.Since(s.started).Seconds(),
-			ActiveConns: active,
+			ActiveConns: int(s.stats.activeConns.Value()),
 			Stats:       s.Stats(),
 		},
 	}

@@ -114,24 +114,22 @@ type Stats struct {
 // server's obs.Registry so they surface on /metrics too. Every update is a
 // lock-free atomic operation: the former mutex (which serialized every
 // connection handler against every snapshot on the request hot path) is
-// gone entirely.
+// gone entirely. The wire counters (traffic, frames, rejections, panics,
+// connection-cap refusals) are the coordinator Listener's own.
 type statsCollector struct {
+	*wireStats
+
 	epochs    *obs.Counter
 	requests  *obs.Counter
-	rejected  *obs.Counter
 	offloaded *obs.Counter
 	local     *obs.Counter
 
 	healthChecks *obs.Counter
-	panics       *obs.Counter
-	oversize     *obs.Counter
-	throttled    *obs.Counter
 
-	maxBatch    *obs.Gauge
-	activeConns *obs.Gauge
-	batch       *obs.Histogram
-	solve       *obs.Histogram
-	utility     *obs.Histogram
+	maxBatch *obs.Gauge
+	batch    *obs.Histogram
+	solve    *obs.Histogram
+	utility  *obs.Histogram
 
 	// Pipeline metrics: the solve queue between the batch collector and
 	// the solver workers, and the collect-to-answer epoch latency.
@@ -153,12 +151,7 @@ type statsCollector struct {
 	fullExpired       *obs.Counter
 	queueWaitEst      *obs.Gauge
 
-	// Wire metrics: traffic and frame counts per protocol, and the number
-	// of admitted requests whose answer is still in flight.
-	bytesRead    *obs.Counter
-	bytesWritten *obs.Counter
-	framesJSON   *obs.Counter
-	framesBinary *obs.Counter
+	// The number of admitted requests whose answer is still in flight.
 	inflightReqs *obs.Gauge
 
 	// Shard metrics: mis-routed request rejections and this coordinator's
@@ -178,28 +171,19 @@ type statsCollector struct {
 
 func newStatsCollector(reg *obs.Registry) *statsCollector {
 	return &statsCollector{
+		wireStats: newWireStats(reg, "coordinator"),
 		epochs: reg.Counter("tsajs_coordinator_epochs_total",
 			"Scheduling rounds (epochs) run."),
 		requests: reg.Counter("tsajs_coordinator_requests_total",
 			"Offloading requests that entered epoch batching."),
-		rejected: reg.Counter("tsajs_coordinator_rejected_total",
-			"Requests rejected: malformed, invalid, or failed during shutdown or scheduling."),
 		offloaded: reg.Counter("tsajs_coordinator_offloaded_total",
 			"Decisions that sent the task to a MEC server."),
 		local: reg.Counter("tsajs_coordinator_local_total",
 			"Decisions that kept the task on the device."),
 		healthChecks: reg.Counter("tsajs_coordinator_health_checks_total",
 			"TypeHealth probes answered."),
-		panics: reg.Counter("tsajs_coordinator_panics_recovered_total",
-			"Panics confined to one connection or epoch."),
-		oversize: reg.Counter("tsajs_coordinator_oversize_requests_total",
-			"Request lines rejected for exceeding the wire size limit."),
-		throttled: reg.Counter("tsajs_coordinator_throttled_conns_total",
-			"Connections refused at the concurrent-connection cap."),
 		maxBatch: reg.Gauge("tsajs_coordinator_max_batch",
 			"Largest epoch batch scheduled so far."),
-		activeConns: reg.Gauge("tsajs_coordinator_active_conns",
-			"Currently served connections."),
 		batch: reg.Histogram("tsajs_coordinator_batch_size",
 			"Requests batched per epoch.", obs.DefaultBatchEdges),
 		solve: reg.Histogram("tsajs_coordinator_solve_seconds",
@@ -237,16 +221,6 @@ func newStatsCollector(reg *obs.Registry) *statsCollector {
 			"Full-quality solves that included an already-expired request (serving-path tripwire; stays zero)."),
 		queueWaitEst: reg.Gauge("tsajs_coordinator_queue_wait_estimate_seconds",
 			"Estimated queue wait for a newly admitted request (EWMA epoch service time times queue depth)."),
-		bytesRead: reg.Counter("tsajs_coordinator_bytes_read_total",
-			"Bytes read off the wire across both protocols (request lines, frames, handshakes)."),
-		bytesWritten: reg.Counter("tsajs_coordinator_bytes_written_total",
-			"Bytes written to the wire across both protocols (response lines and frames)."),
-		framesJSON: reg.Counter("tsajs_coordinator_frames_total",
-			"Protocol frames processed in either direction, by codec.",
-			obs.Label{Key: "codec", Value: "json"}),
-		framesBinary: reg.Counter("tsajs_coordinator_frames_total",
-			"Protocol frames processed in either direction, by codec.",
-			obs.Label{Key: "codec", Value: "binary"}),
 		inflightReqs: reg.Gauge("tsajs_coordinator_inflight_requests",
 			"Admitted requests currently awaiting their epoch's answer."),
 		wrongShardC: reg.Counter("tsajs_coordinator_wrong_shard_total",
@@ -279,26 +253,6 @@ func (c *statsCollector) deltaEpoch(full bool, refreshed, reused int) {
 	}
 	c.deltaDirty.Add(uint64(refreshed))
 	c.deltaReused.Add(uint64(reused))
-}
-
-// frameRead counts one inbound protocol frame of n wire bytes.
-func (c *statsCollector) frameRead(binaryCodec bool, n int) {
-	c.bytesRead.Add(uint64(n))
-	if binaryCodec {
-		c.framesBinary.Inc()
-	} else {
-		c.framesJSON.Inc()
-	}
-}
-
-// frameWritten counts one outbound protocol frame of n wire bytes.
-func (c *statsCollector) frameWritten(binaryCodec bool, n int) {
-	c.bytesWritten.Add(uint64(n))
-	if binaryCodec {
-		c.framesBinary.Inc()
-	} else {
-		c.framesJSON.Inc()
-	}
 }
 
 func (c *statsCollector) requestEntered()   { c.requests.Inc() }
@@ -338,10 +292,7 @@ func (c *statsCollector) wrongShard() {
 	c.wrongShardC.Inc()
 }
 
-func (c *statsCollector) healthServed()    { c.healthChecks.Inc() }
-func (c *statsCollector) panicRecovered()  { c.panics.Inc() }
-func (c *statsCollector) oversizeRequest() { c.oversize.Inc() }
-func (c *statsCollector) connThrottled()   { c.throttled.Inc() }
+func (c *statsCollector) healthServed() { c.healthChecks.Inc() }
 
 func (c *statsCollector) epochScheduled(batch, offloaded int, solve time.Duration, utility float64) {
 	c.epochs.Inc()

@@ -38,7 +38,7 @@ func (c chanSink) send(_ uint64, resp OffloadResponse) {
 func handleSync(t testing.TB, srv *Server, line []byte) OffloadResponse {
 	t.Helper()
 	sink := make(chanSink, 1)
-	srv.dispatchLine(line, sink)
+	srv.lis.dispatchLine(line, sink)
 	select {
 	case resp := <-sink:
 		return resp

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -19,13 +17,10 @@ type RouterConfig struct {
 	// Client configures the embedded shard fan-out the router forwards
 	// through (addresses, layout, assignment, per-shard resilience).
 	Client ClientConfig
-	// ReadTimeout is the per-connection idle read deadline (zero: 5 minutes,
-	// negative: disabled), MaxLineBytes caps one request line (zero: 1 MiB),
-	// and MaxConns caps concurrently served connections (zero: 256) — the
-	// same wire hygiene the coordinator applies.
-	ReadTimeout  time.Duration
-	MaxLineBytes int
-	MaxConns     int
+	// Limits are the wire limits the router serves every connection under,
+	// the coordinator's own: idle read deadline, request size cap and
+	// connection cap.
+	cran.Limits
 	// ForwardTimeout bounds one forwarded exchange through the fan-out,
 	// including per-shard retries. Zero defaults to 30s.
 	ForwardTimeout time.Duration
@@ -34,52 +29,42 @@ type RouterConfig struct {
 	Metrics *obs.Registry
 }
 
-func (rc RouterConfig) withDefaults() RouterConfig {
-	if rc.ReadTimeout == 0 {
-		rc.ReadTimeout = 5 * time.Minute
-	}
-	if rc.MaxLineBytes == 0 {
-		rc.MaxLineBytes = 1 << 20
-	}
-	if rc.MaxConns == 0 {
-		rc.MaxConns = 256
-	}
-	if rc.ForwardTimeout == 0 {
-		rc.ForwardTimeout = 30 * time.Second
-	}
-	return rc
-}
-
-// Router exposes a K-shard coordinator cluster behind one JSON endpoint:
-// clients speak the historical newline-delimited JSON protocol to the
-// router, which resolves each request's cell and forwards it to the owning
-// shard over the fan-out client (typically binary, multiplexed). Health
-// probes fan out to every shard and return the merged cluster view.
-//
-// The router accepts only the JSON line protocol on its own listener — a
-// binary client gains nothing from a hop that exists to keep protocol-
-// oblivious devices off the routing problem; latency-sensitive clients
-// should use the shard Client directly.
+// Router exposes a K-shard coordinator cluster behind one endpoint for
+// devices that do not know about shards: it speaks both wire codecs through
+// the coordinator's connection layer (cran.Listener), resolves each
+// request's cell and forwards it to the owning shard over the fan-out
+// client (typically binary, multiplexed). Health probes fan out to every
+// shard and return the merged cluster view.
 type Router struct {
 	cfg RouterConfig
-	ln  net.Listener
+	lis *cran.Listener
 	cli *Client
 
 	requests *obs.Counter
 	latency  *obs.Histogram
 	inflight *obs.Gauge
 
-	quit chan struct{}
-	wg   sync.WaitGroup
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
+	// ctx bounds every forward; Close cancels it and waits for fwd.
+	// slots holds one token per forward in flight.
+	ctx    context.Context
+	cancel context.CancelFunc
+	fwd    sync.WaitGroup
+	slots  chan struct{}
 }
+
+// maxForwards bounds the forwards in flight across the router. Past it a
+// connection's reader waits for a slot, so a client flooding binary frames
+// meets TCP backpressure instead of piling up goroutines.
+const maxForwards = 1024
 
 // NewRouter starts a router listening on addr.
 func NewRouter(addr string, cfg RouterConfig) (*Router, error) {
-	cfg = cfg.withDefaults()
+	if err := cfg.Limits.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.ForwardTimeout == 0 {
+		cfg.ForwardTimeout = 30 * time.Second
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -98,7 +83,6 @@ func NewRouter(addr string, cfg RouterConfig) (*Router, error) {
 	}
 	r := &Router{
 		cfg: cfg,
-		ln:  ln,
 		cli: cli,
 		requests: reg.Counter("tsajs_router_requests_total",
 			"Requests forwarded through the router."),
@@ -106,136 +90,56 @@ func NewRouter(addr string, cfg RouterConfig) (*Router, error) {
 			"Receive-to-answer latency per request through the router.", obs.DefaultLatencyEdges),
 		inflight: reg.Gauge("tsajs_router_inflight_requests",
 			"Requests currently being forwarded."),
-		quit:  make(chan struct{}),
-		conns: make(map[net.Conn]struct{}),
+		slots: make(chan struct{}, maxForwards),
 	}
-	r.wg.Add(1)
-	go r.acceptLoop()
+	r.ctx, r.cancel = context.WithCancel(context.Background())
+	r.lis = cran.Serve(ln, cfg.Limits, reg, "router", r.handle)
 	return r, nil
 }
 
 // Addr returns the router's listening address.
-func (r *Router) Addr() net.Addr { return r.ln.Addr() }
+func (r *Router) Addr() net.Addr { return r.lis.Addr() }
 
 // Client returns the embedded shard fan-out (for handoff and rollup reads).
 func (r *Router) Client() *Client { return r.cli }
 
-// Close stops the listener, drops every connection, and closes the fan-out.
-// Idempotent.
+// Close stops the listener, drops every connection, abandons the forwards in
+// flight, and closes the fan-out. Idempotent.
 func (r *Router) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	for conn := range r.conns {
-		_ = conn.Close()
-	}
-	r.mu.Unlock()
-	close(r.quit)
-	err := r.ln.Close()
-	r.wg.Wait()
+	r.cancel()
+	err := r.lis.Close()
+	r.fwd.Wait()
 	if cerr := r.cli.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-func (r *Router) isClosed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
-}
-
-func (r *Router) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			if r.isClosed() {
-				return
-			}
-			select {
-			case <-time.After(5 * time.Millisecond):
-				continue
-			case <-r.quit:
-				return
-			}
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		if len(r.conns) >= r.cfg.MaxConns {
-			r.mu.Unlock()
-			_ = writeLine(conn, cran.OffloadResponse{
-				Version: cran.ProtocolVersion,
-				Error:   "router at connection capacity",
-			})
-			_ = conn.Close()
-			continue
-		}
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.wg.Add(1)
-		go r.serveConn(conn)
+// handle is the router's cran.Handler. It forwards off the connection's
+// reader, so a binary connection keeps many requests in flight; a JSON
+// connection still waits for each answer before reading its next line.
+func (r *Router) handle(req cran.OffloadRequest, a cran.Answer) {
+	select {
+	case r.slots <- struct{}{}:
+	case <-r.ctx.Done():
+		a.Send(cran.OffloadResponse{Version: cran.ProtocolVersion, UserID: req.UserID, Error: "router shutting down", Code: cran.CodeShutdown})
+		return
 	}
-}
-
-func (r *Router) serveConn(conn net.Conn) {
-	defer r.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
+	r.fwd.Add(1)
+	go func() {
+		defer func() {
+			<-r.slots
+			r.fwd.Done()
+		}()
+		a.Send(r.forward(req))
 	}()
-	scanner := bufio.NewScanner(conn)
-	initial := 64 * 1024
-	if initial > r.cfg.MaxLineBytes {
-		initial = r.cfg.MaxLineBytes
-	}
-	scanner.Buffer(make([]byte, initial), r.cfg.MaxLineBytes)
-	for {
-		if r.cfg.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(r.cfg.ReadTimeout))
-		}
-		if !scanner.Scan() {
-			if errors.Is(scanner.Err(), bufio.ErrTooLong) {
-				_ = writeLine(conn, cran.OffloadResponse{
-					Version: cran.ProtocolVersion,
-					Error:   cran.ErrRequestTooLarge.Error(),
-					Code:    cran.CodeTooLarge,
-				})
-			}
-			return
-		}
-		line := scanner.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		resp := r.forward(line)
-		if err := writeLine(conn, resp); err != nil {
-			return
-		}
-		if r.isClosed() {
-			return
-		}
-	}
 }
 
-// forward parses one request line and routes it: health probes fan out to
-// every shard and merge, offload requests go to the owning shard. A
-// transport-level forwarding failure is reported to the device as a typed
-// rejection (preserving the shard's backpressure code when one caused it).
-func (r *Router) forward(line []byte) cran.OffloadResponse {
-	var req cran.OffloadRequest
-	if err := json.Unmarshal(line, &req); err != nil {
-		return cran.OffloadResponse{Version: cran.ProtocolVersion, Error: "malformed request: " + err.Error()}
-	}
+// forward routes one request: health probes fan out to every shard and
+// merge, offload requests go to the owning shard. A transport-level
+// forwarding failure is reported to the device as a typed rejection
+// (preserving the shard's backpressure code when one caused it).
+func (r *Router) forward(req cran.OffloadRequest) cran.OffloadResponse {
 	r.requests.Inc()
 	r.inflight.Add(1)
 	start := time.Now()
@@ -243,7 +147,7 @@ func (r *Router) forward(line []byte) cran.OffloadResponse {
 		r.latency.Observe(time.Since(start).Seconds())
 		r.inflight.Add(-1)
 	}()
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(r.ctx, r.cfg.ForwardTimeout)
 	defer cancel()
 	if req.Type == cran.TypeHealth {
 		h, err := r.cli.Health(ctx)
@@ -281,8 +185,4 @@ func forwardCode(err error) string {
 	default:
 		return ""
 	}
-}
-
-func writeLine(conn net.Conn, resp cran.OffloadResponse) error {
-	return json.NewEncoder(conn).Encode(resp)
 }

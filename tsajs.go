@@ -113,6 +113,10 @@ type (
 	Coordinator = cran.Server
 	// CoordinatorConfig parametrizes a Coordinator.
 	CoordinatorConfig = cran.ServerConfig
+	// WireLimits are the per-connection wire limits a Coordinator or a
+	// ShardRouter serves under: idle read deadline, request size cap and
+	// connection cap.
+	WireLimits = cran.Limits
 	// CoordinatorClient is a device-side connection to a Coordinator.
 	CoordinatorClient = cran.Client
 	// OffloadRequest and OffloadResponse are the coordinator's wire
@@ -187,8 +191,8 @@ type (
 	ShardClient = shard.Client
 	// ShardClientConfig parametrizes a ShardClient.
 	ShardClientConfig = shard.ClientConfig
-	// ShardRouter fronts a whole shard cluster behind one JSON endpoint for
-	// clients that are not shard-aware.
+	// ShardRouter fronts a whole shard cluster behind one endpoint, in
+	// either wire codec, for clients that are not shard-aware.
 	ShardRouter = shard.Router
 	// ShardRouterConfig parametrizes a ShardRouter.
 	ShardRouterConfig = shard.RouterConfig
@@ -232,28 +236,13 @@ func NewPortfolio(cfg Config, opts PortfolioOptions) (*Portfolio, error) {
 	return portfolio.New(cfg, opts)
 }
 
-// PortfolioMemberNames lists every solver the heterogeneous portfolio can
-// run as a chain member, for PortfolioOptions.Members: TTSA cooling and
-// neighbourhood variants ("ttsa", "ttsa-fast", "ttsa-wide"), the
-// incumbent-attraction population member ("attract"), and the zero-anneal
-// baselines ("hjtora", "greedy", "cheap").
-func PortfolioMemberNames() []string { return portfolio.MemberNames() }
-
-// DefaultPortfolioMembers is the roster adaptive mode uses when
-// PortfolioOptions.Members is empty: a diverse mix of anneal variants, the
-// attraction member, and cheap deterministic baselines.
-func DefaultPortfolioMembers() []string { return portfolio.DefaultAdaptiveMembers() }
-
 // ParsePortfolioMembers parses a comma-separated member roster ("ttsa,
-// attract,cheap"), validating every name against PortfolioMemberNames. An
-// empty spec returns nil (the homogeneous-TTSA default).
+// attract,cheap") for PortfolioOptions.Members, validating every name: TTSA
+// cooling and neighbourhood variants ("ttsa", "ttsa-fast", "ttsa-wide"),
+// the incumbent-attraction population member ("attract"), and the
+// zero-anneal baselines ("hjtora", "greedy", "cheap"). An empty spec returns
+// nil (the homogeneous-TTSA default).
 func ParsePortfolioMembers(spec string) ([]string, error) { return portfolio.ParseMembers(spec) }
-
-// NewPortfolioMetrics registers the tsajs_portfolio_* member telemetry
-// family in r; attach to a portfolio with WithMemberObserver.
-func NewPortfolioMetrics(r *MetricsRegistry, labels ...MetricLabel) *PortfolioMetrics {
-	return obs.NewPortfolioMetrics(r, labels...)
-}
 
 // Baseline schedulers from the paper's evaluation.
 func NewExhaustive() Scheduler  { return &baseline.Exhaustive{} }
@@ -305,11 +294,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // metrics into r, labelled by scheme plus the given constant labels.
 func NewSolverMetrics(r *MetricsRegistry, labels ...MetricLabel) *SolverMetrics {
 	return obs.NewSolverMetrics(r, labels...)
-}
-
-// NewClientMetrics registers the tsajs_client_* resilience counters in r.
-func NewClientMetrics(r *MetricsRegistry, labels ...MetricLabel) *ClientMetrics {
-	return obs.NewClientMetrics(r, labels...)
 }
 
 // MetricsMux builds the introspection HTTP handler: /metrics (Prometheus
@@ -474,8 +458,9 @@ func NewShardClient(cfg ShardClientConfig) (*ShardClient, error) {
 	return shard.NewClient(cfg)
 }
 
-// NewShardRouter starts a router listening on addr that fans a plain JSON
-// client's requests out across the shard cluster described by cfg.Client.
+// NewShardRouter starts a router listening on addr that fans a client's
+// requests, in either wire codec, out across the shard cluster described by
+// cfg.Client.
 func NewShardRouter(addr string, cfg ShardRouterConfig) (*ShardRouter, error) {
 	return shard.NewRouter(addr, cfg)
 }
