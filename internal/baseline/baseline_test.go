@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -295,5 +297,28 @@ func TestAllBaselinesOnSameInstanceOrdering(t *testing.T) {
 			t.Errorf("%s utility %.9f exceeds the exhaustive optimum %.9f",
 				sched.Name(), res.Utility, opt.Utility)
 		}
+	}
+}
+
+// TestLocalSearchGolden pins LocalSearch's result — utility bits, the
+// decision and the evaluation count — over a grid of scenarios and seeds,
+// so a change to how it walks the Algorithm 2 neighbourhood must leave
+// every climb exactly where it was.
+func TestLocalSearchGolden(t *testing.T) {
+	const want = "0ebf74ade1163a91"
+	ls := NewDefaultLocalSearch()
+	h := fnv.New64a()
+	for _, users := range []int{6, 20, 40} {
+		sc := buildScenario(t, users, 4, 3, uint64(users))
+		for seed := uint64(1); seed <= 6; seed++ {
+			res, err := ls.Schedule(sc, simrand.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%x %d %v\n", res.Utility, res.Evaluations, res.Assignment)
+		}
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Errorf("local search digest = %s, want %s", got, want)
 	}
 }

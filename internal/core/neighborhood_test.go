@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -258,5 +260,64 @@ func TestExportedNeighborhood(t *testing.T) {
 	}
 	if !changed {
 		t.Error("exported neighbourhood never changed the decision")
+	}
+}
+
+// TestNeighborhoodMovesGolden pins the Algorithm 2 move sequence: the
+// changed flag and the whole decision after every move of a long walk,
+// over shapes that reach each fallback (one server, one subchannel, one
+// user, full servers, a masked server), with eviction on and off. TTSA, the repair anneal
+// and LocalSearch all draw from this generator, so any change to its
+// random draws or its mutations moves the digest.
+func TestNeighborhoodMovesGolden(t *testing.T) {
+	const want = "0db12408a4f704dd"
+	// (users, servers, subchannels, masked server or -1)
+	shapes := [][4]int{{1, 2, 2, -1}, {6, 1, 1, -1}, {8, 3, 2, -1}, {12, 4, 3, -1}, {10, 3, 2, 1}}
+	h := fnv.New64a()
+	var buf []byte
+	for _, shape := range shapes {
+		for _, evict := range []bool{true, false} {
+			cfg := DefaultConfig()
+			cfg.DisableEviction = !evict
+			moves := NeighborhoodFor(cfg)
+			for seed := uint64(1); seed <= 40; seed++ {
+				rng := simrand.New(seed)
+				a := freshAssignment(t, shape[0], shape[1], shape[2])
+				for u := 0; u < a.Users(); u++ {
+					if rng.Float64() < 0.6 {
+						s := rng.Intn(a.Servers())
+						if j := a.FreeChannel(s, rng.Intn(a.Channels())); j != assign.Local {
+							if err := a.Offload(u, s, j); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				if shape[3] >= 0 {
+					if _, err := a.MaskServer(shape[3]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for step := 0; step < 300; step++ {
+					buf = buf[:0]
+					if moves.Apply(a, rng) {
+						buf = append(buf, 1)
+					} else {
+						buf = append(buf, 0)
+					}
+					for u := 0; u < a.Users(); u++ {
+						s, j := a.SlotOf(u)
+						buf = append(buf, byte(s+1), byte(j+1))
+					}
+					h.Write(buf)
+				}
+				if err := a.Validate(); err != nil {
+					t.Fatalf("shape %v evict %v seed %d: %v", shape, evict, seed, err)
+				}
+			}
+		}
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Errorf("move digest = %s, want %s", got, want)
 	}
 }
