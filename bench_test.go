@@ -110,10 +110,11 @@ func BenchmarkKKTAllocation(b *testing.B) {
 	}
 }
 
-// BenchmarkNeighborhoodMove measures one Algorithm 2 move on a working copy.
+// BenchmarkNeighborhoodMove measures one Algorithm 2 move, applied in place.
 func BenchmarkNeighborhoodMove(b *testing.B) {
 	sc := benchScenario(b, 30)
 	moves := core.NeighborhoodFor(core.DefaultConfig())
+	var undo core.Undo
 	rng := simrand.New(3)
 	a, err := solver.RandomFeasible(sc, rng, 0.5)
 	if err != nil {
@@ -122,7 +123,7 @@ func BenchmarkNeighborhoodMove(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		moves.Apply(a, rng)
+		moves.Apply(a, rng, &undo)
 	}
 }
 
@@ -598,15 +599,16 @@ func BenchmarkIncrementalTTSA(b *testing.B) {
 		}
 		inc := objective.NewIncremental(sc, cur)
 		moves := core.NeighborhoodFor(core.DefaultConfig())
+		var undo core.Undo
 		cand := cur.Clone()
 		// Warm the reusable scratch (first Preview may size pool buffers).
-		moves.Apply(cand, rng)
+		moves.Apply(cand, rng, &undo)
 		inc.Preview(cand)
 		inc.Accept(cand)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			moves.Apply(cand, rng)
+			moves.Apply(cand, rng, &undo)
 			if inc.Preview(cand) > inc.Utility() {
 				inc.Accept(cand)
 			} else if err := cand.CopyFrom(cur); err != nil {

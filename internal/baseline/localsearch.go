@@ -87,26 +87,25 @@ func (l *LocalSearch) Schedule(sc *scenario.Scenario, rng *simrand.Source) (solv
 	curJ := eval.SystemUtility(cur)
 	evaluations := 1
 
+	// Each candidate is a move applied to cur in place; a move that fails
+	// or does not improve is reverted, so cur is never copied.
 	moves := core.NeighborhoodFor(core.DefaultConfig())
-	cand := cur.Clone()
+	var undo core.Undo
 	stall := 0
 	for iter := 0; iter < l.cfg.MaxIterations && stall < l.cfg.Patience; iter++ {
-		if err := cand.CopyFrom(cur); err != nil {
+		if moves.Apply(cur, rng, &undo) {
+			candJ := eval.SystemUtility(cur)
+			evaluations++
+			if candJ > curJ {
+				curJ = candJ
+				stall = 0
+				continue
+			}
+		}
+		if err := undo.Revert(cur); err != nil {
 			return solver.Result{}, fmt.Errorf("baseline: %w", err)
 		}
-		if !moves.Apply(cand, rng) {
-			stall++
-			continue
-		}
-		candJ := eval.SystemUtility(cand)
-		evaluations++
-		if candJ > curJ {
-			cur, cand = cand, cur
-			curJ = candJ
-			stall = 0
-		} else {
-			stall++
-		}
+		stall++
 	}
 	return solver.Finish(l.Name(), eval, cur, evaluations, started), nil
 }

@@ -15,13 +15,13 @@ const (
 	moveToggle
 )
 
-// neighborhood generates candidate decisions per Algorithm 2
+// Neighborhood generates candidate decisions per Algorithm 2
 // (GetNeighborhood): pick a random target user, then with the configured
 // probabilities either move it to another server, move it to another
 // subchannel on its current server, swap its assignment with another
-// user's, or toggle its offloading state.
-type neighborhood struct {
-	weights    MoveWeights
+// user's, or toggle its offloading state. TTSA anneals over it; the
+// LocalSearch baseline climbs over the same neighbourhood.
+type Neighborhood struct {
 	evict      bool
 	cumServer  float64
 	cumChannel float64
@@ -34,9 +34,11 @@ type neighborhood struct {
 	targets []int
 }
 
-func newNeighborhood(cfg Config) *neighborhood {
+// NeighborhoodFor builds a move generator from cfg's move mix and eviction
+// policy.
+func NeighborhoodFor(cfg Config) *Neighborhood {
 	total := cfg.Moves.total()
-	n := &neighborhood{weights: cfg.Moves, evict: !cfg.DisableEviction}
+	n := &Neighborhood{evict: !cfg.DisableEviction}
 	n.cumServer = cfg.Moves.MoveServer / total
 	n.cumChannel = n.cumServer + cfg.Moves.MoveChannel/total
 	n.cumSwap = n.cumChannel + cfg.Moves.Swap/total
@@ -45,7 +47,7 @@ func newNeighborhood(cfg Config) *neighborhood {
 
 // pickUser draws the move's target user: uniform over targets when the
 // move set is restricted, uniform over all users otherwise.
-func (n *neighborhood) pickUser(a *assign.Assignment, rng *simrand.Source) int {
+func (n *Neighborhood) pickUser(a *assign.Assignment, rng *simrand.Source) int {
 	if len(n.targets) > 0 {
 		return n.targets[rng.Intn(len(n.targets))]
 	}
@@ -53,7 +55,7 @@ func (n *neighborhood) pickUser(a *assign.Assignment, rng *simrand.Source) int {
 }
 
 // pick draws a move kind from the configured mix.
-func (n *neighborhood) pick(rng *simrand.Source) moveKind {
+func (n *Neighborhood) pick(rng *simrand.Source) moveKind {
 	r := rng.Float64()
 	switch {
 	case r < n.cumServer:
@@ -67,34 +69,39 @@ func (n *neighborhood) pick(rng *simrand.Source) moveKind {
 	}
 }
 
-// Apply mutates a into a neighbouring feasible decision and reports whether
-// it actually changed anything. Moves that are impossible in the current
-// state (e.g. a channel move with N = 1, or a fully occupied server without
-// eviction) degrade to the closest applicable move rather than silently
-// wasting the iteration, mirroring the fallbacks in Algorithm 2.
-func (n *neighborhood) Apply(a *assign.Assignment, rng *simrand.Source) bool {
+// Apply mutates a in place into a neighbouring feasible decision and
+// reports whether it changed anything. It first resets undo, then records
+// the prior slot of every user the move touches, so the caller can Revert
+// a rejected candidate in O(touched) instead of copying the decision. A
+// move that reports false leaves a unchanged. Moves that are impossible in
+// the current state (e.g. a channel move with N = 1, or a fully occupied
+// server without eviction) degrade to the closest applicable move rather
+// than silently wasting the iteration, mirroring the fallbacks in
+// Algorithm 2.
+func (n *Neighborhood) Apply(a *assign.Assignment, rng *simrand.Source, undo *Undo) bool {
+	undo.reset()
 	u := n.pickUser(a, rng)
 	switch n.pick(rng) {
 	case moveServer:
-		return n.relocateServer(a, u, rng)
+		return n.relocateServer(a, u, rng, undo)
 	case moveChannel:
 		if a.Channels() <= 1 || a.IsLocal(u) {
 			// K = 1 or a local target: Algorithm 2's channel branch is
 			// undefined; relocating across servers is the nearest move.
-			return n.relocateServer(a, u, rng)
+			return n.relocateServer(a, u, rng, undo)
 		}
-		return n.relocateChannel(a, u, rng)
+		return n.relocateChannel(a, u, rng, undo)
 	case moveSwap:
-		return n.swap(a, u, rng)
+		return n.swap(a, u, rng, undo)
 	default:
-		return n.toggle(a, u, rng)
+		return n.toggle(a, u, rng, undo)
 	}
 }
 
 // relocateServer implements lines 7–11: move u to a different server,
 // preferring a free subchannel and otherwise (with eviction enabled)
 // displacing a random occupant to local execution.
-func (n *neighborhood) relocateServer(a *assign.Assignment, u int, rng *simrand.Source) bool {
+func (n *Neighborhood) relocateServer(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
 	cur, _ := a.SlotOf(u)
 	if a.Servers() == 1 && cur == 0 {
 		return false // nowhere else to go
@@ -103,12 +110,12 @@ func (n *neighborhood) relocateServer(a *assign.Assignment, u int, rng *simrand.
 	for s == cur {
 		s = rng.Intn(a.Servers())
 	}
-	return n.place(a, u, s, rng)
+	return n.place(a, u, s, rng, undo)
 }
 
 // relocateChannel implements lines 12–15: move u to another subchannel of
 // its current server.
-func (n *neighborhood) relocateChannel(a *assign.Assignment, u int, rng *simrand.Source) bool {
+func (n *Neighborhood) relocateChannel(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
 	s, cur := a.SlotOf(u)
 	j := a.FreeChannel(s, rng.Intn(a.Channels()))
 	if j == assign.Local || j == cur {
@@ -124,13 +131,12 @@ func (n *neighborhood) relocateChannel(a *assign.Assignment, u int, rng *simrand
 			j = rng.Intn(a.Channels())
 		}
 	}
-	_, err := a.Evict(u, s, j)
-	return err == nil
+	return evict(a, u, s, j, undo)
 }
 
 // swap implements lines 17–19: exchange the full assignments of u and a
 // second random user.
-func (n *neighborhood) swap(a *assign.Assignment, u int, rng *simrand.Source) bool {
+func (n *Neighborhood) swap(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
 	if a.Users() == 1 {
 		return false
 	}
@@ -143,29 +149,43 @@ func (n *neighborhood) swap(a *assign.Assignment, u int, rng *simrand.Source) bo
 	if su == assign.Local && sv == assign.Local {
 		return false // swapping two local users changes nothing
 	}
+	undo.note(a, u)
+	undo.note(a, v)
 	a.Swap(u, v)
 	return true
 }
 
 // toggle implements lines 20–21: flip x(u,s,j). An offloaded user goes
 // local; a local user takes a random slot.
-func (n *neighborhood) toggle(a *assign.Assignment, u int, rng *simrand.Source) bool {
+func (n *Neighborhood) toggle(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
 	if !a.IsLocal(u) {
+		undo.note(a, u)
 		a.SetLocal(u)
 		return true
 	}
-	return n.place(a, u, rng.Intn(a.Servers()), rng)
+	return n.place(a, u, rng.Intn(a.Servers()), rng, undo)
 }
 
 // place puts u on server s: on a free subchannel when one exists, otherwise
 // by eviction when enabled.
-func (n *neighborhood) place(a *assign.Assignment, u, s int, rng *simrand.Source) bool {
+func (n *Neighborhood) place(a *assign.Assignment, u, s int, rng *simrand.Source, undo *Undo) bool {
 	j := a.FreeChannel(s, rng.Intn(a.Channels()))
 	if j == assign.Local {
 		if !n.evict {
 			return false
 		}
 		j = rng.Intn(a.Channels())
+	}
+	return evict(a, u, s, j, undo)
+}
+
+// evict records u and the occupant of (s, j), then puts u on that slot,
+// displacing the occupant to local execution. It fails, leaving a
+// unchanged, when s is masked.
+func evict(a *assign.Assignment, u, s, j int, undo *Undo) bool {
+	undo.note(a, u)
+	if occ := a.Occupant(s, j); occ != assign.Local && occ != u {
+		undo.note(a, occ)
 	}
 	_, err := a.Evict(u, s, j)
 	return err == nil

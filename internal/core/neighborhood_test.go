@@ -22,7 +22,8 @@ func freshAssignment(t *testing.T, u, s, n int) *assign.Assignment {
 func TestNeighborhoodPreservesFeasibilityProperty(t *testing.T) {
 	// Core safety property of Algorithm 2: every generated neighbour of a
 	// feasible decision is feasible (constraints 12b–12d).
-	moves := newNeighborhood(DefaultConfig())
+	moves := NeighborhoodFor(DefaultConfig())
+	var undo Undo
 	prop := func(seed uint64) bool {
 		rng := simrand.New(seed)
 		a, err := assign.New(8, 3, 2)
@@ -41,7 +42,7 @@ func TestNeighborhoodPreservesFeasibilityProperty(t *testing.T) {
 			}
 		}
 		for step := 0; step < 200; step++ {
-			moves.Apply(a, rng)
+			moves.Apply(a, rng, &undo)
 			if a.Validate() != nil {
 				return false
 			}
@@ -55,14 +56,15 @@ func TestNeighborhoodPreservesFeasibilityProperty(t *testing.T) {
 
 func TestNeighborhoodChangesState(t *testing.T) {
 	// Over many draws, Apply must usually produce a different decision.
-	moves := newNeighborhood(DefaultConfig())
+	moves := NeighborhoodFor(DefaultConfig())
+	var undo Undo
 	rng := simrand.New(1)
 	a := freshAssignment(t, 6, 3, 2)
 	changed := 0
 	const trials = 500
 	for i := 0; i < trials; i++ {
 		before := a.Clone()
-		if moves.Apply(a, rng) && !a.Equal(before) {
+		if moves.Apply(a, rng, &undo) && !a.Equal(before) {
 			changed++
 		}
 	}
@@ -72,7 +74,7 @@ func TestNeighborhoodChangesState(t *testing.T) {
 }
 
 func TestNeighborhoodReachesAllMoveKinds(t *testing.T) {
-	n := newNeighborhood(DefaultConfig())
+	n := NeighborhoodFor(DefaultConfig())
 	rng := simrand.New(2)
 	counts := map[moveKind]int{}
 	for i := 0; i < 10000; i++ {
@@ -94,7 +96,7 @@ func TestNeighborhoodReachesAllMoveKinds(t *testing.T) {
 func TestCustomMoveMixNormalized(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Moves = MoveWeights{Swap: 2, Toggle: 2} // only swaps and toggles
-	n := newNeighborhood(cfg)
+	n := NeighborhoodFor(cfg)
 	rng := simrand.New(3)
 	for i := 0; i < 1000; i++ {
 		k := n.pick(rng)
@@ -107,16 +109,17 @@ func TestCustomMoveMixNormalized(t *testing.T) {
 func TestToggleFlipsState(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Moves = MoveWeights{Toggle: 1}
-	n := newNeighborhood(cfg)
+	n := NeighborhoodFor(cfg)
+	var undo Undo
 	rng := simrand.New(4)
 	a := freshAssignment(t, 1, 2, 2)
-	if !n.Apply(a, rng) {
+	if !n.Apply(a, rng, &undo) {
 		t.Fatal("toggle of a local user failed")
 	}
 	if a.IsLocal(0) {
 		t.Fatal("toggle did not offload the local user")
 	}
-	if !n.Apply(a, rng) {
+	if !n.Apply(a, rng, &undo) {
 		t.Fatal("toggle of an offloaded user failed")
 	}
 	if !a.IsLocal(0) {
@@ -127,14 +130,15 @@ func TestToggleFlipsState(t *testing.T) {
 func TestMoveServerRelocates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Moves = MoveWeights{MoveServer: 1}
-	n := newNeighborhood(cfg)
+	n := NeighborhoodFor(cfg)
+	var undo Undo
 	rng := simrand.New(5)
 	a := freshAssignment(t, 1, 3, 1)
 	if err := a.Offload(0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if !n.Apply(a, rng) {
+		if !n.Apply(a, rng, &undo) {
 			t.Fatal("server move failed with free servers available")
 		}
 		if s, _ := a.SlotOf(0); s == assign.Local {
@@ -149,7 +153,8 @@ func TestMoveServerRelocates(t *testing.T) {
 func TestMoveServerEvictsWhenFull(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Moves = MoveWeights{MoveServer: 1}
-	n := newNeighborhood(cfg)
+	n := NeighborhoodFor(cfg)
+	var undo Undo
 	rng := simrand.New(6)
 	// Two servers with one channel each, both full; moving one user to
 	// the other server must evict its occupant to local.
@@ -160,7 +165,7 @@ func TestMoveServerEvictsWhenFull(t *testing.T) {
 	if err := a.Offload(1, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !n.Apply(a, rng) {
+	if !n.Apply(a, rng, &undo) {
 		t.Fatal("move failed on full network with eviction enabled")
 	}
 	if a.Offloaded() != 1 {
@@ -175,7 +180,8 @@ func TestDisableEvictionBlocksFullMoves(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Moves = MoveWeights{MoveServer: 1}
 	cfg.DisableEviction = true
-	n := newNeighborhood(cfg)
+	n := NeighborhoodFor(cfg)
+	var undo Undo
 	rng := simrand.New(7)
 	a := freshAssignment(t, 2, 2, 1)
 	if err := a.Offload(0, 0, 0); err != nil {
@@ -186,7 +192,7 @@ func TestDisableEvictionBlocksFullMoves(t *testing.T) {
 	}
 	before := a.Clone()
 	for i := 0; i < 20; i++ {
-		if n.Apply(a, rng) {
+		if n.Apply(a, rng, &undo) {
 			t.Fatal("move succeeded on a full network with eviction disabled")
 		}
 	}
@@ -198,14 +204,15 @@ func TestDisableEvictionBlocksFullMoves(t *testing.T) {
 func TestMoveChannelStaysOnServer(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Moves = MoveWeights{MoveChannel: 1}
-	n := newNeighborhood(cfg)
+	n := NeighborhoodFor(cfg)
+	var undo Undo
 	rng := simrand.New(8)
 	a := freshAssignment(t, 1, 1, 4)
 	if err := a.Offload(0, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if !n.Apply(a, rng) {
+		if !n.Apply(a, rng, &undo) {
 			t.Fatal("channel move failed with free channels")
 		}
 		s, _ := a.SlotOf(0)
@@ -220,13 +227,14 @@ func TestMoveChannelFallsBackWithOneChannel(t *testing.T) {
 	// spin forever (Algorithm 2's K>1 guard).
 	cfg := DefaultConfig()
 	cfg.Moves = MoveWeights{MoveChannel: 1}
-	n := newNeighborhood(cfg)
+	n := NeighborhoodFor(cfg)
+	var undo Undo
 	rng := simrand.New(9)
 	a := freshAssignment(t, 1, 2, 1)
 	if err := a.Offload(0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !n.Apply(a, rng) {
+	if !n.Apply(a, rng, &undo) {
 		t.Fatal("fallback move failed")
 	}
 	if s, _ := a.SlotOf(0); s != 1 {
@@ -237,21 +245,23 @@ func TestMoveChannelFallsBackWithOneChannel(t *testing.T) {
 func TestSwapRequiresTwoUsers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Moves = MoveWeights{Swap: 1}
-	n := newNeighborhood(cfg)
+	n := NeighborhoodFor(cfg)
+	var undo Undo
 	rng := simrand.New(10)
 	a := freshAssignment(t, 1, 2, 1)
-	if n.Apply(a, rng) {
+	if n.Apply(a, rng, &undo) {
 		t.Error("swap succeeded with a single user")
 	}
 }
 
 func TestExportedNeighborhood(t *testing.T) {
 	n := NeighborhoodFor(DefaultConfig())
+	var undo Undo
 	rng := simrand.New(11)
 	a := freshAssignment(t, 4, 2, 2)
 	changed := false
 	for i := 0; i < 20; i++ {
-		if n.Apply(a, rng) {
+		if n.Apply(a, rng, &undo) {
 			changed = true
 		}
 		if err := a.Validate(); err != nil {
@@ -280,6 +290,7 @@ func TestNeighborhoodMovesGolden(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.DisableEviction = !evict
 			moves := NeighborhoodFor(cfg)
+			var undo Undo
 			for seed := uint64(1); seed <= 40; seed++ {
 				rng := simrand.New(seed)
 				a := freshAssignment(t, shape[0], shape[1], shape[2])
@@ -300,7 +311,7 @@ func TestNeighborhoodMovesGolden(t *testing.T) {
 				}
 				for step := 0; step < 300; step++ {
 					buf = buf[:0]
-					if moves.Apply(a, rng) {
+					if moves.Apply(a, rng, &undo) {
 						buf = append(buf, 1)
 					} else {
 						buf = append(buf, 0)

@@ -104,13 +104,8 @@ func (t *TTSA) runChain(sc *scenario.Scenario, rng *simrand.Source, withTrace bo
 		temp = t.cfg.MinTemp * 10
 	}
 	maxCount := t.cfg.ThresholdFactor * float64(t.cfg.InnerIterations)
-	moves := newNeighborhood(t.cfg)
+	moves := NeighborhoodFor(t.cfg)
 	moves.targets = opts.Targets
-
-	// Candidates are generated by mutating cur in place and reverting on
-	// rejection (O(touched users) instead of an O(U + S·N) copy per
-	// iteration). The random draw sequence, the candidate contents, and
-	// therefore the results are identical to the copy-based formulation.
 	var undo Undo
 	count := 0
 	evaluations := 1
@@ -139,7 +134,7 @@ func (t *TTSA) runChain(sc *scenario.Scenario, rng *simrand.Source, withTrace bo
 			if t.cfg.MaxEvaluations > 0 && evaluations >= t.cfg.MaxEvaluations {
 				return finish(stage), trace, nil
 			}
-			if !moves.applyUndo(cur, rng, &undo) {
+			if !moves.Apply(cur, rng, &undo) {
 				continue // degenerate move; retry next iteration
 			}
 			candJ := preview(cur)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/tsajs/tsajs/internal/assign"
-	"github.com/tsajs/tsajs/internal/simrand"
 )
 
 // Undo records the prior slots of the users a move touches, so the move
@@ -61,109 +60,4 @@ func (u *Undo) Revert(a *assign.Assignment) error {
 	}
 	u.n = 0
 	return nil
-}
-
-// ApplyUndo is Apply with move reversal support: it mutates a in place and
-// fills undo so the caller can Revert a rejected candidate in O(touched).
-// The random draw sequence is identical to Apply's.
-func (n *Neighborhood) ApplyUndo(a *assign.Assignment, rng *simrand.Source, undo *Undo) bool {
-	return n.inner.applyUndo(a, rng, undo)
-}
-
-// applyUndo mirrors neighborhood.Apply but records prior slots first.
-func (n *neighborhood) applyUndo(a *assign.Assignment, rng *simrand.Source, undo *Undo) bool {
-	undo.reset()
-	u := n.pickUser(a, rng)
-	switch n.pick(rng) {
-	case moveServer:
-		return n.relocateServerUndo(a, u, rng, undo)
-	case moveChannel:
-		if a.Channels() <= 1 || a.IsLocal(u) {
-			return n.relocateServerUndo(a, u, rng, undo)
-		}
-		return n.relocateChannelUndo(a, u, rng, undo)
-	case moveSwap:
-		return n.swapUndo(a, u, rng, undo)
-	default:
-		return n.toggleUndo(a, u, rng, undo)
-	}
-}
-
-func (n *neighborhood) relocateServerUndo(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
-	cur, _ := a.SlotOf(u)
-	if a.Servers() == 1 && cur == 0 {
-		return false
-	}
-	s := rng.Intn(a.Servers())
-	for s == cur {
-		s = rng.Intn(a.Servers())
-	}
-	return n.placeUndo(a, u, s, rng, undo)
-}
-
-func (n *neighborhood) relocateChannelUndo(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
-	s, cur := a.SlotOf(u)
-	j := a.FreeChannel(s, rng.Intn(a.Channels()))
-	if j == assign.Local || j == cur {
-		if !n.evict {
-			return false
-		}
-		j = rng.Intn(a.Channels())
-		for j == cur {
-			if a.Channels() == 1 {
-				return false
-			}
-			j = rng.Intn(a.Channels())
-		}
-	}
-	undo.note(a, u)
-	if occ := a.Occupant(s, j); occ != assign.Local && occ != u {
-		undo.note(a, occ)
-	}
-	_, err := a.Evict(u, s, j)
-	return err == nil
-}
-
-func (n *neighborhood) swapUndo(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
-	if a.Users() == 1 {
-		return false
-	}
-	v := rng.Intn(a.Users())
-	for v == u {
-		v = rng.Intn(a.Users())
-	}
-	su, _ := a.SlotOf(u)
-	sv, _ := a.SlotOf(v)
-	if su == assign.Local && sv == assign.Local {
-		return false
-	}
-	undo.note(a, u)
-	undo.note(a, v)
-	a.Swap(u, v)
-	return true
-}
-
-func (n *neighborhood) toggleUndo(a *assign.Assignment, u int, rng *simrand.Source, undo *Undo) bool {
-	if !a.IsLocal(u) {
-		undo.note(a, u)
-		a.SetLocal(u)
-		return true
-	}
-	return n.placeUndo(a, u, rng.Intn(a.Servers()), rng, undo)
-}
-
-func (n *neighborhood) placeUndo(a *assign.Assignment, u, s int, rng *simrand.Source, undo *Undo) bool {
-	j := a.FreeChannel(s, rng.Intn(a.Channels()))
-	if j == assign.Local {
-		if !n.evict {
-			return false
-		}
-		j = rng.Intn(a.Channels())
-	}
-	undo.note(a, u)
-	if occ := a.Occupant(s, j); occ != assign.Local && occ != u {
-		undo.note(a, occ)
-	}
-	_, err := a.Evict(u, s, j)
-	return err == nil
 }

@@ -11,7 +11,7 @@ import (
 // TestApplyUndoRoundTripProperty: for any feasible decision, any move
 // followed by Revert restores the exact original decision.
 func TestApplyUndoRoundTripProperty(t *testing.T) {
-	moves := newNeighborhood(DefaultConfig())
+	moves := NeighborhoodFor(DefaultConfig())
 	prop := func(seed uint64) bool {
 		rng := simrand.New(seed)
 		a, err := assign.New(9, 3, 2)
@@ -31,7 +31,7 @@ func TestApplyUndoRoundTripProperty(t *testing.T) {
 		var undo Undo
 		for step := 0; step < 300; step++ {
 			before := a.Clone()
-			changed := moves.applyUndo(a, rng, &undo)
+			changed := moves.Apply(a, rng, &undo)
 			if a.Validate() != nil {
 				return false
 			}
@@ -47,59 +47,12 @@ func TestApplyUndoRoundTripProperty(t *testing.T) {
 				return false
 			}
 			// Re-apply a move and keep it, so the walk explores states.
-			moves.applyUndo(a, rng, &undo)
-			undo.reset()
+			moves.Apply(a, rng, &undo)
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestApplyUndoSameDrawsAsApply: ApplyUndo must consume the identical rng
-// sequence and produce the identical mutation as Apply, so switching the
-// TTSA loop to in-place+undo preserved published behaviour.
-func TestApplyUndoSameDrawsAsApply(t *testing.T) {
-	moves := newNeighborhood(DefaultConfig())
-	mkStart := func() *assign.Assignment {
-		a, err := assign.New(8, 3, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := simrand.New(99)
-		for u := 0; u < 8; u++ {
-			if rng.Float64() < 0.5 {
-				s := rng.Intn(3)
-				if j := a.FreeChannel(s, rng.Intn(2)); j != assign.Local {
-					if err := a.Offload(u, s, j); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		return a
-	}
-	for seed := uint64(1); seed <= 50; seed++ {
-		a1 := mkStart()
-		a2 := mkStart()
-		rng1 := simrand.New(seed)
-		rng2 := simrand.New(seed)
-		var undo Undo
-		for step := 0; step < 100; step++ {
-			c1 := moves.Apply(a1, rng1)
-			c2 := moves.applyUndo(a2, rng2, &undo)
-			if c1 != c2 {
-				t.Fatalf("seed %d step %d: changed %v vs %v", seed, step, c1, c2)
-			}
-			if !a1.Equal(a2) {
-				t.Fatalf("seed %d step %d: states diverged", seed, step)
-			}
-			// Both rngs must be in lockstep afterwards.
-			if rng1.Float64() != rng2.Float64() {
-				t.Fatalf("seed %d step %d: rng streams diverged", seed, step)
-			}
-		}
 	}
 }
 
