@@ -106,8 +106,14 @@ func TestServingComposition(t *testing.T) {
 		cfg.SolverChaos = &faults.SolverChaos{Seed: 3, DelayProb: 1, Delay: 40 * time.Millisecond}
 		cfg.Delta = deltaAt(deltaDiffThreshold)
 		srv := startServer(t, cfg)
-		var ps []pending
-		for wave := 0; wave < 5; wave++ {
+		// The rest of the waves go only once the worker holds epoch 1, so
+		// the depth-4 queue fits epochs 2-5 whatever the goroutine order.
+		ps := submitWaveAsync(t, srv, waveRequests(0, 2))
+		waitUntil(t, 10*time.Second, "the worker to take epoch 1", func() bool {
+			st := srv.Stats()
+			return st.QueueDepth == 0 && (st.InflightSolves > 0 || st.Epochs > 0)
+		})
+		for wave := 1; wave < 5; wave++ {
 			ps = append(ps, submitWaveAsync(t, srv, waveRequests(wave, 2))...)
 		}
 		for i, r := range collectWave(t, ps) {
