@@ -33,8 +33,6 @@ type Config struct {
 	// scenario.DefaultParams with 4 servers and 2 channels — small enough
 	// that epochs solve in milliseconds on one core.
 	Params scenario.Params
-	// TTSABudget is the full-tier evaluation budget. Zero defaults to 1500.
-	TTSABudget int
 	// Seed drives the coordinator and the fault plan. Zero defaults to 1.
 	Seed uint64
 	// Conns is the number of concurrent client connections. Zero defaults
@@ -45,9 +43,6 @@ type Config struct {
 	Calibrate time.Duration
 	// Drive is the overload measurement window. Zero defaults to 2s.
 	Drive time.Duration
-	// RateMultiplier scales the calibrated rate into the offered overload
-	// rate. Zero defaults to 2 — the harness's headline "2× sustainable".
-	RateMultiplier float64
 	// Deadline is the coordinator's DefaultDeadline during the overload
 	// phase. Zero defaults to 250ms.
 	Deadline time.Duration
@@ -60,31 +55,34 @@ type Config struct {
 	// Brownout configures degradation; the zero value enables it with the
 	// package defaults (set Brownout.Enabled explicitly to run without).
 	Brownout *cran.BrownoutConfig
-	// FaultDelay and FaultProb configure the injected slow-solver fault.
-	// Zeroes default to 40ms at probability 1.
+	// FaultDelay is the delay the injected slow-solver fault adds to every
+	// solve in the fault window. Zero defaults to 40ms.
 	FaultDelay time.Duration
-	FaultProb  float64
-	// FaultFraction is the fraction of the drive window under fault,
-	// starting at t=0. Zero defaults to 0.5 — faults in the first half,
-	// recovery in the second.
-	FaultFraction float64
-	// GoodputFloor is the minimum fraction of issued requests that must
-	// receive a scheduled decision (any tier) over the whole drive. Zero
-	// defaults to 0.2.
-	GoodputFloor float64
-	// RecoveryMargin is the slack allowed when requiring recovery-phase
-	// goodput to be at least fault-phase goodput. Zero defaults to 0.05.
-	RecoveryMargin float64
 }
+
+// The fixed parameters of every harness run.
+const (
+	// ttsaBudget is the full-tier evaluation budget.
+	ttsaBudget = 1500
+	// rateMultiplier scales the calibrated rate into the offered overload
+	// rate: the harness's headline "2× sustainable".
+	rateMultiplier = 2
+	// faultFraction is the fraction of the drive window under fault,
+	// starting at t=0: faults in the first half, recovery in the second.
+	faultFraction = 0.5
+	// goodputFloor is the minimum fraction of issued requests that must
+	// receive a scheduled decision (any tier) over the whole drive.
+	goodputFloor = 0.2
+	// recoveryMargin is the slack allowed when requiring recovery-phase
+	// goodput to be at least fault-phase goodput.
+	recoveryMargin = 0.05
+)
 
 func (c Config) withDefaults() Config {
 	if c.Params.NumServers == 0 {
 		c.Params = scenario.DefaultParams()
 		c.Params.NumServers = 4
 		c.Params.NumChannels = 2
-	}
-	if c.TTSABudget == 0 {
-		c.TTSABudget = 1500
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -97,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Drive == 0 {
 		c.Drive = 2 * time.Second
-	}
-	if c.RateMultiplier == 0 {
-		c.RateMultiplier = 2
 	}
 	if c.Deadline == 0 {
 		c.Deadline = 250 * time.Millisecond
@@ -115,18 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FaultDelay == 0 {
 		c.FaultDelay = 40 * time.Millisecond
-	}
-	if c.FaultProb == 0 {
-		c.FaultProb = 1
-	}
-	if c.FaultFraction == 0 {
-		c.FaultFraction = 0.5
-	}
-	if c.GoodputFloor == 0 {
-		c.GoodputFloor = 0.2
-	}
-	if c.RecoveryMargin == 0 {
-		c.RecoveryMargin = 0.05
 	}
 	return c
 }
@@ -194,7 +177,7 @@ func Run(cfg Config) (Report, error) {
 
 func serverConfig(cfg Config) cran.ServerConfig {
 	ttsaCfg := core.DefaultConfig()
-	ttsaCfg.MaxEvaluations = cfg.TTSABudget
+	ttsaCfg.MaxEvaluations = ttsaBudget
 	return cran.ServerConfig{
 		Params:      cfg.Params,
 		BatchWindow: 5 * time.Millisecond,
@@ -269,10 +252,10 @@ func overload(cfg Config, calibrated float64) (Report, error) {
 	start := time.Now()
 	scfg.SolverChaos = &faults.SolverChaos{
 		Seed:      cfg.Seed,
-		DelayProb: cfg.FaultProb,
+		DelayProb: 1,
 		Delay:     cfg.FaultDelay,
 		Start:     start,
-		Window:    time.Duration(cfg.FaultFraction * float64(cfg.Drive)),
+		Window:    time.Duration(faultFraction * float64(cfg.Drive)),
 	}
 	srv, err := cran.NewServer("127.0.0.1:0", scfg)
 	if err != nil {
@@ -280,7 +263,7 @@ func overload(cfg Config, calibrated float64) (Report, error) {
 	}
 	defer srv.Close()
 
-	offered := calibrated * cfg.RateMultiplier
+	offered := calibrated * rateMultiplier
 	interval := time.Duration(float64(time.Second) / offered)
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Drive+30*time.Second)
 	defer cancel()
@@ -363,7 +346,7 @@ func classify(resp cran.OffloadResponse, err error) int {
 // verdict aggregates outcomes and evaluates the invariants.
 func verdict(cfg Config, calibrated, offered float64, outs []outcome, stats cran.Stats) Report {
 	rep := Report{CalibratedRPS: calibrated, OfferedRPS: offered, Stats: stats}
-	faultEnd := time.Duration(cfg.FaultFraction * float64(cfg.Drive))
+	faultEnd := time.Duration(faultFraction * float64(cfg.Drive))
 	// Phase buckets leave a margin around the fault edge: requests issued
 	// just before it can legitimately resolve on either side.
 	faultCut := faultEnd - faultEnd/10
@@ -428,13 +411,13 @@ func verdict(cfg Config, calibrated, offered float64, outs []outcome, stats cran
 	}
 	// Invariant 3: goodput floor under overload — shedding and expiry are
 	// allowed, collapse is not.
-	if rep.GoodputFraction < cfg.GoodputFloor {
-		fail("goodput %.3f below floor %.3f", rep.GoodputFraction, cfg.GoodputFloor)
+	if rep.GoodputFraction < goodputFloor {
+		fail("goodput %.3f below floor %.3f", rep.GoodputFraction, goodputFloor)
 	}
 	// Invariant 4: the system recovers once the fault window closes —
 	// goodput after recovery must not be materially below goodput under
 	// fault.
-	if recAll > 0 && faultAll > 0 && rep.RecoveryGoodput+cfg.RecoveryMargin < rep.FaultGoodput {
+	if recAll > 0 && faultAll > 0 && rep.RecoveryGoodput+recoveryMargin < rep.FaultGoodput {
 		fail("recovery goodput %.3f below fault-phase goodput %.3f", rep.RecoveryGoodput, rep.FaultGoodput)
 	}
 	// Bookkeeping cross-check: the coordinator's own expiry counter must

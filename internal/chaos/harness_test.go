@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"github.com/tsajs/tsajs/internal/cran"
 )
 
 // TestHarnessSmoke runs the full calibrate → overload → verify cycle with
@@ -31,8 +33,8 @@ func TestHarnessSmoke(t *testing.T) {
 	if rep.Issued == 0 || rep.CalibratedRPS <= 0 {
 		t.Fatalf("degenerate run: issued=%d calibrated=%.2f", rep.Issued, rep.CalibratedRPS)
 	}
-	if rep.OfferedRPS <= rep.CalibratedRPS {
-		t.Fatalf("offered %.2f rps not above calibrated %.2f rps", rep.OfferedRPS, rep.CalibratedRPS)
+	if rep.OfferedRPS != 2*rep.CalibratedRPS {
+		t.Fatalf("offered %.2f rps, want 2 × calibrated %.2f rps", rep.OfferedRPS, rep.CalibratedRPS)
 	}
 	t.Logf("calibrated %.1f rps, offered %.1f rps: %d issued, %d full / %d truncated / %d cheap / %d expired / %d shed; goodput %.2f (fault %.2f → recovery %.2f)",
 		rep.CalibratedRPS, rep.OfferedRPS, rep.Issued,
@@ -43,14 +45,15 @@ func TestHarnessSmoke(t *testing.T) {
 // TestHarnessDefaults pins the zero-value fill-ins the harness documents.
 func TestHarnessDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.RateMultiplier != 2 {
-		t.Errorf("default rate multiplier = %g, want 2", cfg.RateMultiplier)
-	}
 	if !cfg.Brownout.Enabled {
 		t.Error("default harness config must enable brownout")
 	}
-	if cfg.FaultFraction != 0.5 {
-		t.Errorf("default fault fraction = %g, want 0.5", cfg.FaultFraction)
+	// Faults cover the first half of the 2s drive. Its phase buckets end
+	// a tenth inside the edge (0.9s) and recovery starts 2/5 of the rest
+	// past it (1.4s), so an answer just inside each bucket counts there.
+	rep := verdict(cfg, 1, 2, []outcome{{890 * time.Millisecond, classFull}, {1400 * time.Millisecond, classFull}}, cran.Stats{})
+	if rep.FaultGoodput != 1 || rep.RecoveryGoodput != 1 {
+		t.Errorf("fault/recovery goodput = %g/%g, want 1/1", rep.FaultGoodput, rep.RecoveryGoodput)
 	}
 	if cfg.Deadline <= 0 || cfg.Drive <= 0 || cfg.Calibrate <= 0 {
 		t.Errorf("defaults left a zero window: deadline=%s drive=%s calibrate=%s",

@@ -50,10 +50,9 @@ type ResilienceConfig struct {
 	// attempt redials if needed). Zero defaults to 3.
 	MaxAttempts int
 	// BackoffBase is the pre-retry wait before attempt 2; subsequent
-	// attempts double it up to BackoffMax. The actual wait is jittered
-	// uniformly over [base/2, base). Zero defaults are 25ms and 1s.
+	// attempts double it up to one second. The actual wait is jittered
+	// uniformly over [base/2, base). Zero defaults to 25ms.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// BreakerThreshold opens the circuit after that many consecutive
 	// transport failures; while open, calls skip the network entirely
 	// until BreakerCooldown elapses, then a single probe is allowed
@@ -94,9 +93,6 @@ func (rc ResilienceConfig) withDefaults() ResilienceConfig {
 	if rc.BackoffBase == 0 {
 		rc.BackoffBase = 25 * time.Millisecond
 	}
-	if rc.BackoffMax == 0 {
-		rc.BackoffMax = time.Second
-	}
 	if rc.BreakerThreshold == 0 {
 		rc.BreakerThreshold = 5
 	}
@@ -123,8 +119,8 @@ func (rc ResilienceConfig) Validate() error {
 	switch {
 	case rc.MaxAttempts < 0:
 		return fmt.Errorf("cran: max attempts must be non-negative, got %d", rc.MaxAttempts)
-	case rc.BackoffBase < 0 || rc.BackoffMax < 0:
-		return fmt.Errorf("cran: backoff durations must be non-negative, got base=%s max=%s", rc.BackoffBase, rc.BackoffMax)
+	case rc.BackoffBase < 0:
+		return fmt.Errorf("cran: backoff base must be non-negative, got %s", rc.BackoffBase)
 	case rc.BreakerCooldown < 0:
 		return fmt.Errorf("cran: breaker cooldown must be non-negative, got %s", rc.BreakerCooldown)
 	case rc.FLocalHz < 0:
@@ -443,13 +439,16 @@ func (c *Client) countMetric(fn func(*obs.ClientMetrics)) {
 	}
 }
 
+// backoffMax caps the doubling pre-retry wait.
+const backoffMax = time.Second
+
 // backoffDelay computes the jittered exponential delay before the given
 // retry attempt. Callers hold c.mu (the jitter source is not
 // concurrency-safe).
 func (c *Client) backoffDelay(attempt int) time.Duration {
 	d := c.rc.BackoffBase << (attempt - 1)
-	if d > c.rc.BackoffMax || d <= 0 {
-		d = c.rc.BackoffMax
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	// Full jitter over [d/2, d) decorrelates retry storms across devices.
 	return d/2 + time.Duration(c.jitter.Float64()*float64(d/2))

@@ -21,9 +21,6 @@ type RouterConfig struct {
 	// the coordinator's own: idle read deadline, request size cap and
 	// connection cap.
 	cran.Limits
-	// ForwardTimeout bounds one forwarded exchange through the fan-out,
-	// including per-shard retries. Zero defaults to 30s.
-	ForwardTimeout time.Duration
 	// Metrics, when non-nil, receives the router's tsajs_router_* family
 	// alongside the embedded client's tsajs_shard_* rollup.
 	Metrics *obs.Registry
@@ -52,6 +49,10 @@ type Router struct {
 	slots  chan struct{}
 }
 
+// forwardTimeout bounds one forwarded exchange through the fan-out,
+// including per-shard retries.
+const forwardTimeout = 30 * time.Second
+
 // maxForwards bounds the forwards in flight across the router. Past it a
 // connection's reader waits for a slot, so a client flooding binary frames
 // meets TCP backpressure instead of piling up goroutines.
@@ -61,9 +62,6 @@ const maxForwards = 1024
 func NewRouter(addr string, cfg RouterConfig) (*Router, error) {
 	if err := cfg.Limits.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.ForwardTimeout == 0 {
-		cfg.ForwardTimeout = 30 * time.Second
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -147,7 +145,7 @@ func (r *Router) forward(req cran.OffloadRequest) cran.OffloadResponse {
 		r.latency.Observe(time.Since(start).Seconds())
 		r.inflight.Add(-1)
 	}()
-	ctx, cancel := context.WithTimeout(r.ctx, r.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(r.ctx, forwardTimeout)
 	defer cancel()
 	if req.Type == cran.TypeHealth {
 		h, err := r.cli.Health(ctx)
