@@ -511,6 +511,10 @@ func drive(opts driveOpts) (report, error) {
 		return report{}, fmt.Errorf("final health probe: %w", err)
 	}
 
+	// Every coordinator count is a delta over the window: a coordinator
+	// behind -addr may have served traffic before this run.
+	b, a := before.Stats, after.Stats
+	epochs := a.Epochs - b.Epochs
 	var all []time.Duration
 	rep := report{Conns: conns, Protocol: opts.protocol, DurationS: elapsed, OfferedRPS: rate, MaxQueueDepth: maxQueue}
 	for _, cs := range stats {
@@ -523,7 +527,7 @@ func drive(opts driveOpts) (report, error) {
 	}
 	rep.Requests = rep.Scheduled + rep.Rejected + rep.Expired + rep.TransportErrors
 	rep.RequestsPerSec = float64(rep.Scheduled+rep.Rejected+rep.Expired) / elapsed
-	rep.EpochsPerSec = float64(after.Stats.Epochs-before.Stats.Epochs) / elapsed
+	rep.EpochsPerSec = float64(epochs) / elapsed
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	rep.P50Ms = quantileMs(all, 0.50)
 	rep.P95Ms = quantileMs(all, 0.95)
@@ -533,41 +537,39 @@ func drive(opts driveOpts) (report, error) {
 	// health-probe sampler's traffic rides the same counters, so the
 	// per-request figure is a slight overestimate — identically for both
 	// protocols, which is what the JSON-vs-binary comparison needs.
-	rep.WireBytes = (after.Stats.BytesRead - before.Stats.BytesRead) +
-		(after.Stats.BytesWritten - before.Stats.BytesWritten)
+	rep.WireBytes = a.BytesRead - b.BytesRead + a.BytesWritten - b.BytesWritten
 	if n := rep.Scheduled + rep.Rejected + rep.Expired; n > 0 {
 		rep.BytesPerRequest = float64(rep.WireBytes) / float64(n)
 	}
-	rep.FramesPerSec = float64((after.Stats.FramesJSON-before.Stats.FramesJSON)+
-		(after.Stats.FramesBinary-before.Stats.FramesBinary)) / elapsed
-	rep.MeanBatch = after.Stats.MeanBatch
-	rep.QueueDepth = after.Stats.QueueDepth
-	rep.EpochsRejected = after.Stats.EpochsRejected
-	rep.EpochsDegraded = after.Stats.EpochsDegradedTruncated + after.Stats.EpochsDegradedCheap
-	rep.EpochsExpired = after.Stats.EpochsExpired
-	rep.SolverWorkers = after.Stats.SolverWorkers
+	rep.FramesPerSec = float64(a.FramesJSON-b.FramesJSON+a.FramesBinary-b.FramesBinary) / elapsed
+	rep.QueueDepth = a.QueueDepth
+	rep.EpochsRejected = a.EpochsRejected - b.EpochsRejected
+	rep.EpochsDegraded = a.EpochsDegradedTruncated + a.EpochsDegradedCheap - b.EpochsDegradedTruncated - b.EpochsDegradedCheap
+	rep.EpochsExpired = a.EpochsExpired - b.EpochsExpired
+	rep.SolverWorkers = a.SolverWorkers
 	rep.Shards = opts.shards
 	if opts.handoffs != nil {
 		rep.Handoffs = opts.handoffs()
 	}
-	rep.WrongShard = after.Stats.WrongShard
-	rep.DeltaFullEpochs = after.Stats.DeltaFullEpochs - before.Stats.DeltaFullEpochs
-	rep.DeltaRepairEpochs = after.Stats.DeltaRepairEpochs - before.Stats.DeltaRepairEpochs
-	rep.DeltaRowsReused = after.Stats.DeltaRowsReused - before.Stats.DeltaRowsReused
-	if epochs := after.Stats.Epochs - before.Stats.Epochs; epochs > 0 {
-		rep.MeanEpochUtility = (after.Stats.UtilitySum - before.Stats.UtilitySum) / float64(epochs)
+	rep.WrongShard = a.WrongShard - b.WrongShard
+	rep.DeltaFullEpochs = a.DeltaFullEpochs - b.DeltaFullEpochs
+	rep.DeltaRepairEpochs = a.DeltaRepairEpochs - b.DeltaRepairEpochs
+	rep.DeltaRowsReused = a.DeltaRowsReused - b.DeltaRowsReused
+	if epochs > 0 {
+		rep.MeanBatch = float64(a.Offloaded+a.Local-b.Offloaded-b.Local) / float64(epochs)
+		rep.MeanEpochUtility = (a.UtilitySum - b.UtilitySum) / float64(epochs)
 	}
-	if len(after.Stats.PortfolioMemberSlots) > 0 {
-		rep.MemberWins = make(map[string]uint64, len(after.Stats.PortfolioMemberWins))
-		rep.MemberBudgetShare = make(map[string]float64, len(after.Stats.PortfolioBudgetMs))
+	if len(a.PortfolioMemberSlots) > 0 {
+		rep.MemberWins = make(map[string]uint64, len(a.PortfolioMemberWins))
+		rep.MemberBudgetShare = make(map[string]float64, len(a.PortfolioBudgetMs))
 		var totalBudget float64
-		for m, b := range after.Stats.PortfolioBudgetMs {
-			totalBudget += b - before.Stats.PortfolioBudgetMs[m]
+		for m, ms := range a.PortfolioBudgetMs {
+			totalBudget += ms - b.PortfolioBudgetMs[m]
 		}
-		for m := range after.Stats.PortfolioMemberSlots {
-			rep.MemberWins[m] = after.Stats.PortfolioMemberWins[m] - before.Stats.PortfolioMemberWins[m]
+		for m := range a.PortfolioMemberSlots {
+			rep.MemberWins[m] = a.PortfolioMemberWins[m] - b.PortfolioMemberWins[m]
 			if totalBudget > 0 {
-				rep.MemberBudgetShare[m] = (after.Stats.PortfolioBudgetMs[m] - before.Stats.PortfolioBudgetMs[m]) / totalBudget
+				rep.MemberBudgetShare[m] = (a.PortfolioBudgetMs[m] - b.PortfolioBudgetMs[m]) / totalBudget
 			}
 		}
 	}

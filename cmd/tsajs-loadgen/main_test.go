@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"github.com/tsajs/tsajs"
 )
 
 // TestLoadgenSelfHostedRun drives a short self-hosted run end to end and
@@ -104,6 +109,71 @@ func TestLoadgenShardedClusterRun(t *testing.T) {
 	// Merged over 4 shards with 2 workers each.
 	if rep.SolverWorkers != 8 {
 		t.Errorf("merged solver workers = %d, want 8", rep.SolverWorkers)
+	}
+}
+
+// TestLoadgenReportsWindowOnly drives -addr against a coordinator that
+// has already batched a burst of requests and shed part of it. The report
+// must count the measured window alone: one closed-loop connection makes
+// one-request epochs and never fills the queue.
+func TestLoadgenReportsWindowOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("load generation run skipped in -short mode")
+	}
+	ttsaCfg := tsajs.DefaultConfig()
+	ttsaCfg.MaxEvaluations = 200
+	srv, err := tsajs.NewCoordinator("127.0.0.1:0", tsajs.CoordinatorConfig{
+		Params:      tsajs.DefaultParams(),
+		BatchWindow: 20 * time.Millisecond,
+		MaxBatch:    4,
+		Workers:     1,
+		QueueDepth:  1,
+		TTSA:        &ttsaCfg,
+		SolverChaos: &tsajs.SolverChaos{Seed: 1, DelayProb: 1, Delay: 50 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr := srv.Addr().String()
+
+	// Twelve requests at once close three 4-request epochs while the first
+	// one solves, so the third finds the 1-deep queue full.
+	clis := make([]*tsajs.CoordinatorClient, 12)
+	for i := range clis {
+		if clis[i], err = tsajs.DialCoordinator(addr); err != nil {
+			t.Fatal(err)
+		}
+		defer clis[i].Close()
+	}
+	var wg sync.WaitGroup
+	for i, cli := range clis {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cli.Offload(context.Background(), tsajs.OffloadRequest{
+				UserID: fmt.Sprintf("burst-%d", i),
+				Pos:    tsajs.Point{X: 0.01 * float64(i)},
+				Task:   tsajs.Task{DataBits: 420 * 8 * 1024, WorkCycles: 1000e6},
+			})
+		}()
+	}
+	wg.Wait()
+	if st := srv.Stats(); st.EpochsRejected == 0 || st.MeanBatch <= 1 {
+		t.Fatalf("the burst did not batch and shed: %d epochs rejected, mean batch %.2f", st.EpochsRejected, st.MeanBatch)
+	}
+
+	var out bytes.Buffer
+	if err := run([]string{"-addr", addr, "-conns", "1", "-duration", "300ms", "-json"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("report not parseable: %v\n%s", err, out.String())
+	}
+	if rep.Scheduled == 0 || rep.EpochsRejected != 0 || rep.MeanBatch != 1 {
+		t.Errorf("window report: %d scheduled, %d epochs rejected, mean batch %.2f; want >0, 0, 1",
+			rep.Scheduled, rep.EpochsRejected, rep.MeanBatch)
 	}
 }
 
