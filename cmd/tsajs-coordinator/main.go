@@ -114,28 +114,9 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	ttsaCfg := tsajs.DefaultConfig()
 	ttsaCfg.MaxEvaluations = *budget
 
-	var pfOpts *tsajs.PortfolioOptions
-	switch *pfMode {
-	case "", "fixed":
-	case "adaptive":
-		if *chains <= 1 {
-			return fmt.Errorf("-portfolio adaptive requires -chains greater than 1")
-		}
-	default:
-		return fmt.Errorf("unknown -portfolio mode %q (want fixed or adaptive)", *pfMode)
-	}
-	roster, err := tsajs.ParsePortfolioMembers(*members)
+	pfOpts, err := tsajs.ParsePortfolioFlags(*chains, *pfMode, *members)
 	if err != nil {
 		return err
-	}
-	if *chains > 1 {
-		pfOpts = &tsajs.PortfolioOptions{
-			Chains:   *chains,
-			Members:  roster,
-			Adaptive: *pfMode == "adaptive",
-		}
-	} else if roster != nil {
-		return fmt.Errorf("-members requires -chains greater than 1")
 	}
 
 	var deltaCfg *tsajs.DeltaConfig

@@ -161,28 +161,9 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-shards drives a self-hosted cluster and cannot combine with -addr")
 	}
 
-	var pfOpts *tsajs.PortfolioOptions
-	switch *pfMode {
-	case "", "fixed":
-	case "adaptive":
-		if *chains <= 1 {
-			return fmt.Errorf("-portfolio adaptive requires -chains greater than 1")
-		}
-	default:
-		return fmt.Errorf("unknown -portfolio mode %q (want fixed or adaptive)", *pfMode)
-	}
-	roster, err := tsajs.ParsePortfolioMembers(*members)
+	pfOpts, err := tsajs.ParsePortfolioFlags(*chains, *pfMode, *members)
 	if err != nil {
 		return err
-	}
-	if *chains > 1 {
-		pfOpts = &tsajs.PortfolioOptions{
-			Chains:   *chains,
-			Members:  roster,
-			Adaptive: *pfMode == "adaptive",
-		}
-	} else if roster != nil {
-		return fmt.Errorf("-members requires -chains greater than 1")
 	}
 
 	params := defaults

@@ -64,17 +64,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var adaptive bool
-	switch *pfMode {
-	case "", "fixed":
-	case "adaptive":
-		adaptive = true
-	default:
-		return fmt.Errorf("unknown -portfolio mode %q (want fixed or adaptive)", *pfMode)
-	}
-	roster, err := tsajs.ParsePortfolioMembers(*members)
-	if err != nil {
+	var pf tsajs.PortfolioOptions
+	if opts, err := tsajs.ParsePortfolioFlags(*chains, *pfMode, *members); err != nil {
 		return err
+	} else if opts != nil {
+		pf = *opts
 	}
 
 	params := defaults
@@ -127,8 +121,8 @@ func run(args []string, stdout io.Writer) error {
 		FaultPlan:         plan,
 		Delta:             deltaCfg,
 		Chains:            *chains,
-		PortfolioMembers:  roster,
-		PortfolioAdaptive: adaptive,
+		PortfolioMembers:  pf.Members,
+		PortfolioAdaptive: pf.Adaptive,
 	})
 	if err != nil {
 		return err

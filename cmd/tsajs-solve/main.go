@@ -94,18 +94,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if *chains < 1 {
 		return fmt.Errorf("-chains must be at least 1, got %d", *chains)
 	}
-	adaptive, err := parsePortfolioMode(*pfMode)
+	pf, err := tsajs.ParsePortfolioFlags(*chains, *pfMode, *members)
 	if err != nil {
 		return err
 	}
-	roster, err := tsajs.ParsePortfolioMembers(*members)
-	if err != nil {
-		return err
-	}
-	if (adaptive || roster != nil) && *chains <= 1 {
-		return fmt.Errorf("-portfolio adaptive and -members require -chains greater than 1")
-	}
-	if *chains > 1 {
+	if pf != nil {
 		lower := strings.ToLower(*scheme)
 		if lower != "tsajs" && lower != "ttsa" {
 			return fmt.Errorf("-chains requires the tsajs scheme, got %q", *scheme)
@@ -113,12 +106,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if *trace != "" {
 			return fmt.Errorf("-trace traces a single chain; it cannot be combined with -chains %d", *chains)
 		}
-		sched, err = tsajs.NewPortfolio(tsajs.DefaultConfig(), tsajs.PortfolioOptions{
-			Chains:   *chains,
-			Workers:  *workers,
-			Members:  roster,
-			Adaptive: adaptive,
-		})
+		pf.Workers = *workers
+		sched, err = tsajs.NewPortfolio(tsajs.DefaultConfig(), *pf)
 		if err != nil {
 			return err
 		}
@@ -185,18 +174,6 @@ func solveTraced(sc *tsajs.Scenario, scheme string, seed uint64, path string) (t
 		}
 	}
 	return res, f.Sync()
-}
-
-// parsePortfolioMode maps the -portfolio flag to PortfolioOptions.Adaptive.
-func parsePortfolioMode(mode string) (adaptive bool, err error) {
-	switch strings.ToLower(mode) {
-	case "", "fixed":
-		return false, nil
-	case "adaptive":
-		return true, nil
-	default:
-		return false, fmt.Errorf("unknown -portfolio mode %q (want fixed or adaptive)", mode)
-	}
 }
 
 func schedulerFor(name string) (tsajs.Scheduler, error) {
