@@ -17,12 +17,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/perf"
 )
 
 func main() {
@@ -51,31 +50,11 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cpu != "" {
-		f, err := os.Create(*cpu)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := perf.Profile("tsajs-sim", *cpu, *mem)
+	if err != nil {
+		return err
 	}
-	if *mem != "" {
-		defer func() {
-			f, err := os.Create(*mem)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tsajs-sim: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "tsajs-sim: memprofile:", err)
-			}
-		}()
-	}
+	defer stop()
 
 	if *specFile != "" {
 		return runSpec(*specFile, stdout, *csv, *outDir)

@@ -14,11 +14,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/perf"
 )
 
 func main() {
@@ -46,34 +45,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cpu != "" {
-		f, err := os.Create(*cpu)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := perf.Profile("tsajs-solve", *cpu, *mem)
+	if err != nil {
+		return err
 	}
-	if *mem != "" {
-		defer func() {
-			f, err := os.Create(*mem)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tsajs-solve: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "tsajs-solve: memprofile:", err)
-			}
-		}()
-	}
+	defer stop()
 
 	var blob []byte
-	var err error
 	if *in == "" {
 		blob, err = io.ReadAll(stdin)
 	} else {

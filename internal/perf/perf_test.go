@@ -3,6 +3,8 @@ package perf
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -152,5 +154,31 @@ func TestRegressionString(t *testing.T) {
 	r := Regression{Name: "BenchmarkA", Kind: "time", Baseline: 100, Current: 140, Delta: 0.4}
 	if got := r.String(); !strings.Contains(got, "BenchmarkA") || !strings.Contains(got, "+40.0%") {
 		t.Errorf("String() = %q", got)
+	}
+}
+
+// TestProfileWritesBothProfiles: stop leaves a non-empty CPU and heap
+// profile; empty names skip profiling, and an uncreatable CPU file fails
+// before anything starts.
+func TestProfileWritesBothProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stop, err := Profile("test", cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	for _, name := range []string{cpu, mem} {
+		if fi, err := os.Stat(name); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: not written (%v)", name, err)
+		}
+	}
+	stop, err = Profile("test", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if _, err := Profile("test", filepath.Join(dir, "missing", "cpu.prof"), ""); err == nil {
+		t.Error("uncreatable CPU profile accepted")
 	}
 }
