@@ -77,7 +77,10 @@ verify:
 # total to ~76.0–76.6% (timing-dependent paths make short-mode coverage
 # noisy run to run), gated here with margin for that variance. The
 # delta-epoch tier and its differential suite lift the total to ~76.4%.
-COVER_MIN ?= 76.0
+# Ratcheted to 77.0 when one move generator, one portfolio-flag parser and
+# one profiling helper replaced duplicated, partly untested code (77.1% at
+# the parent, 78.1% after, same host).
+COVER_MIN ?= 77.0
 
 .PHONY: cover
 cover:
