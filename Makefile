@@ -95,6 +95,9 @@ cover:
 # metrics such as solver utility) for regression tracking. Promote a run to
 # the committed baseline with:
 #   cp BENCH_<date>.json results/bench/BENCH_baseline.json
+# The raw and intermediate records of bench, bench-check and bench-baseline
+# go to the checkout's gitignored .bench_build/, so checkouts sharing a host
+# never overwrite each other's results.
 BENCH_DATE := $(shell date +%Y%m%d)
 BENCH_OUT  ?= BENCH_$(BENCH_DATE).json
 
@@ -106,8 +109,9 @@ PERF_BENCH := ^Benchmark(SystemUtility|KKTAllocation|NeighborhoodMove|Solve|Incr
 
 .PHONY: bench
 bench:
-	go test -run='^$$' -bench='$(PERF_BENCH)' -benchmem -benchtime=1s . ./internal/objective ./internal/cran | tee /tmp/tsajs_bench_raw.txt
-	go run ./cmd/tsajs-bench record -in /tmp/tsajs_bench_raw.txt -o $(BENCH_OUT)
+	mkdir -p .bench_build
+	go test -run='^$$' -bench='$(PERF_BENCH)' -benchmem -benchtime=1s . ./internal/objective ./internal/cran | tee .bench_build/bench_raw.txt
+	go run ./cmd/tsajs-bench record -in .bench_build/bench_raw.txt -o $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
 
 # Fast regression gate for CI and pre-merge runs: a short fixed-iteration
@@ -131,17 +135,19 @@ QUICK_BENCH := ^(BenchmarkSystemUtility|BenchmarkKKTAllocation|BenchmarkNeighbor
 
 .PHONY: bench-check
 bench-check:
-	go test -run='^$$' -bench='$(QUICK_BENCH)' -benchmem -benchtime=50x . ./internal/cran > /tmp/tsajs_bench_quick.txt
-	go run ./cmd/tsajs-bench record -in /tmp/tsajs_bench_quick.txt -o /tmp/tsajs_bench_quick.json
+	mkdir -p .bench_build
+	go test -run='^$$' -bench='$(QUICK_BENCH)' -benchmem -benchtime=50x . ./internal/cran > .bench_build/bench_quick.txt
+	go run ./cmd/tsajs-bench record -in .bench_build/bench_quick.txt -o .bench_build/bench_quick.json
 	go run ./cmd/tsajs-bench compare -skip-time \
-	  -baseline results/bench/BENCH_baseline.json -current /tmp/tsajs_bench_quick.json
+	  -baseline results/bench/BENCH_baseline.json -current .bench_build/bench_quick.json
 
 # Re-record the committed quick-gate baseline (run on a quiet machine after
 # an intentional performance change, then commit the result).
 .PHONY: bench-baseline
 bench-baseline:
-	go test -run='^$$' -bench='$(QUICK_BENCH)' -benchmem -benchtime=50x . ./internal/cran > /tmp/tsajs_bench_quick.txt
-	go run ./cmd/tsajs-bench record -in /tmp/tsajs_bench_quick.txt \
+	mkdir -p .bench_build
+	go test -run='^$$' -bench='$(QUICK_BENCH)' -benchmem -benchtime=50x . ./internal/cran > .bench_build/bench_quick.txt
+	go run ./cmd/tsajs-bench record -in .bench_build/bench_quick.txt \
 	  -notes "quick-gate baseline (fixed 50x iterations)" -o results/bench/BENCH_baseline.json
 
 # Counted lines, the code-size figures ROADMAP quotes: tracked non-test Go

@@ -60,9 +60,12 @@ type Config struct {
 	MaxEvaluations int `json:"maxEvaluations"`
 	// Incremental evaluates candidates with the delta evaluator
 	// (objective.Incremental): only the subchannels a move touches are
-	// re-priced. Identical results up to floating-point summation order,
-	// roughly twice as fast per candidate. Off by default so default
-	// runs reproduce the published figure numbers bit for bit.
+	// re-priced. Identical results up to floating-point summation order.
+	// Faster on wide decisions (BenchmarkIncrementalTTSA, U=50: 13.8 →
+	// 9.7 ms per solve in results/bench/BENCH_baseline.json), but not at
+	// the served 27-user, 9-server, 3-subchannel epoch, where both
+	// evaluators take about the same time. Off by default so default runs
+	// reproduce the published figure numbers bit for bit.
 	Incremental bool `json:"incremental"`
 }
 

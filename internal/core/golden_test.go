@@ -15,10 +15,12 @@ import (
 	"github.com/tsajs/tsajs/internal/solver"
 )
 
-// goldenDigest feeds solve outcomes into one FNV-64a hash.
+// goldenDigest feeds solve outcomes into one FNV-64a hash and totals the
+// evaluations the solves elided in their frozen tails.
 type goldenDigest struct {
-	h   hash.Hash64
-	buf []byte
+	h      hash.Hash64
+	buf    []byte
+	elided int
 }
 
 func (d *goldenDigest) int(v int) {
@@ -54,6 +56,7 @@ func (d *goldenDigest) solve(res solver.Result, st solver.SolveStats, trace []co
 	d.int(st.Rejected)
 	d.int(st.Chains)
 	d.float(st.Utility)
+	d.elided += st.ElidedEvaluations
 	d.int(len(trace))
 	for _, p := range trace {
 		d.int(p.Stage)
@@ -97,9 +100,11 @@ func goldenScenario(t *testing.T, users, servers, channels int, seed uint64) *sc
 // repairs (cold start, three targets) and warm starts around a masked
 // server. A change that claims to leave the anneal's results unchanged
 // (for example by skipping work whose outcome is already decided) must
-// leave the digest as it is.
+// leave the digest as it is. The elided-evaluation total pins where the
+// frozen tail starts, which the digest cannot see.
 func TestTTSAResultsGolden(t *testing.T) {
 	const want = "b7a8dd00cf4b4341"
+	const wantElided = 2489464
 	shapes := [][3]int{{27, 9, 3}, {8, 3, 2}, {12, 4, 3}, {20, 2, 4}, {6, 1, 1}, {40, 9, 3}}
 	d := &goldenDigest{h: fnv.New64a()}
 	rec := &recorder{}
@@ -178,5 +183,8 @@ func TestTTSAResultsGolden(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%016x", d.h.Sum64()); got != want {
 		t.Errorf("TTSA results digest = %s, want %s", got, want)
+	}
+	if d.elided != wantElided {
+		t.Errorf("frozen tails elided %d evaluations, want %d", d.elided, wantElided)
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -118,6 +119,10 @@ func TestObserverStatsConsistent(t *testing.T) {
 		t.Errorf("move counts %d+%d+%d outside (0, %d]",
 			s.AcceptedBetter, s.AcceptedWorse, s.Rejected, s.Evaluations)
 	}
+	// The uncapped walk freezes; its elided candidates are rejections.
+	if s.ElidedEvaluations <= 0 || s.ElidedEvaluations > s.Rejected {
+		t.Errorf("elided evaluations = %d, want in (0, %d]", s.ElidedEvaluations, s.Rejected)
+	}
 
 	// The metrics pipeline renders the same numbers.
 	reg := obs.NewRegistry()
@@ -126,6 +131,7 @@ func TestObserverStatsConsistent(t *testing.T) {
 	for _, want := range []string{
 		`tsajs_solver_solves_total{scheme="TSAJS"} 1`,
 		`tsajs_solver_chains_total{scheme="TSAJS"} 1`,
+		fmt.Sprintf(`tsajs_solver_elided_evaluations_total{scheme="TSAJS"} %d`, s.ElidedEvaluations),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("rendered metrics missing %q:\n%s", want, text)

@@ -111,6 +111,20 @@ func (t *TTSA) runChain(sc *scenario.Scenario, rng *simrand.Source, withTrace bo
 	evaluations := 1
 	var trace []TracePoint
 
+	// Frozen-tail elision: once a sweep of the move superset from the
+	// current decision (Neighborhood.bestDelta) finds no delta whose
+	// Metropolis weight survives exp's underflow, no later candidate can be
+	// accepted, so the tail stops pricing them. Every other step — the
+	// move, the evaluation count, the acceptance draw, the revert — still
+	// runs, keeping the result, the stats and the rng position identical.
+	// A sweep runs at most once per accepted state, only after a stage in
+	// which every priced candidate already underflowed, and only while the
+	// budget left covers sweepMargin sweeps.
+	cold := true     // every candidate priced this stage underflowed
+	swept := false   // bestSwept prices the current decision
+	bestSwept := 0.0 // the sweep's best delta
+	frozen := false  // no candidate can be accepted any more
+
 	// Solve-level telemetry for the optional observer: plain local counters
 	// on the walk's own control flow, reported once after the final result
 	// is packaged, so instrumentation never perturbs the search.
@@ -137,23 +151,23 @@ func (t *TTSA) runChain(sc *scenario.Scenario, rng *simrand.Source, withTrace bo
 			if !moves.Apply(cur, rng, &undo) {
 				continue // degenerate move; retry next iteration
 			}
-			candJ := preview(cur)
 			evaluations++
+			if frozen {
+				rng.Float64() // the Metropolis draw the candidate would fail
+				if err := undo.Revert(cur); err != nil {
+					return solver.Result{}, nil, err
+				}
+				tele.Rejected++
+				tele.ElidedEvaluations++
+				continue
+			}
+			candJ := preview(cur)
 			delta := candJ - curJ
+			cold = cold && delta/temp < expUnderflow
 			switch {
 			case delta > 0:
-				accept(cur)
-				curJ = candJ
-				if curJ > bestJ {
-					if err := best.CopyFrom(cur); err != nil {
-						return solver.Result{}, nil, fmt.Errorf("core: %w", err)
-					}
-					bestJ = curJ
-				}
 				tele.AcceptedBetter++
 			case math.Exp(delta/temp) > rng.Float64():
-				accept(cur)
-				curJ = candJ
 				count++
 				tele.AcceptedWorse++
 			default:
@@ -161,6 +175,16 @@ func (t *TTSA) runChain(sc *scenario.Scenario, rng *simrand.Source, withTrace bo
 					return solver.Result{}, nil, err
 				}
 				tele.Rejected++
+				continue
+			}
+			accept(cur)
+			curJ = candJ
+			swept = false // the sweep priced the previous decision
+			if curJ > bestJ {
+				if err := best.CopyFrom(cur); err != nil {
+					return solver.Result{}, nil, fmt.Errorf("core: %w", err)
+				}
+				bestJ = curJ
 			}
 		}
 		accelerated := !t.cfg.DisableThreshold && float64(count) >= maxCount
@@ -182,6 +206,16 @@ func (t *TTSA) runChain(sc *scenario.Scenario, rng *simrand.Source, withTrace bo
 			temp *= t.cfg.CoolNormal
 		}
 		tele.Stages = stage + 1
+		if cold && !frozen && !swept && (t.cfg.MaxEvaluations == 0 ||
+			t.cfg.MaxEvaluations-evaluations >= sweepMargin*moves.sweepSize(cur)) {
+			var err error
+			if bestSwept, err = moves.bestDelta(cur, &undo, preview, curJ); err != nil {
+				return solver.Result{}, nil, err
+			}
+			swept = true
+		}
+		frozen = frozen || (swept && bestSwept/temp < expUnderflow)
+		cold = true
 	}
 	return finish(tele.Stages), trace, nil
 }

@@ -146,6 +146,11 @@ and a newline.`, Label{Key: "path", Value: "a\\b\"c\nd"}).Inc()
 		{Slot: 0, Member: "ttsa", Utility: 18.5, ElapsedMs: 12.5, Won: true},
 		{Slot: 1, Member: "cheap", Utility: 15.25, ElapsedMs: 0.5},
 	})
+
+	// The annealer's frozen-tail counter (as recorded by SolverMetrics).
+	reg.Counter("tsajs_solver_elided_evaluations_total",
+		"Rejected candidates of the annealer's frozen tail, counted without being priced.",
+		Label{Key: "scheme", Value: "TSAJS"}).Add(8065)
 	return reg
 }
 
@@ -189,6 +194,9 @@ func TestGoldenJSON(t *testing.T) {
 // comes from sorting, not registration history.
 func TestGoldenStableAcrossRegistrationOrder(t *testing.T) {
 	reg := NewRegistry()
+	reg.Counter("tsajs_solver_elided_evaluations_total",
+		"Rejected candidates of the annealer's frozen tail, counted without being priced.",
+		Label{Key: "scheme", Value: "TSAJS"}).Add(8065)
 	pm := NewPortfolioMetrics(reg)
 	pm.BudgetMs("cheap").Add(0.5)
 	pm.Wins("cheap")

@@ -55,6 +55,12 @@ func (m *SolverMetrics) ObserveSolve(st solver.SolveStats) {
 		"Deteriorating moves accepted by the Metropolis criterion.", ls...).Add(uint64(st.AcceptedWorse))
 	m.reg.Counter("tsajs_solver_moves_rejected_total",
 		"Candidate moves rejected and reverted.", ls...).Add(uint64(st.Rejected))
+	if st.ElidedEvaluations > 0 {
+		// Registered on first use: a solve that never froze (every capped
+		// serving solve) pays no extra registry lookup.
+		m.reg.Counter("tsajs_solver_elided_evaluations_total",
+			"Rejected candidates of the annealer's frozen tail, counted without being priced.", ls...).Add(uint64(st.ElidedEvaluations))
+	}
 	m.reg.Counter("tsajs_solver_chains_total",
 		"Restart chains merged into returned results.", ls...).Add(uint64(st.Chains))
 	m.reg.Histogram("tsajs_solver_solve_seconds",

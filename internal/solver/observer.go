@@ -23,6 +23,11 @@ type SolveStats struct {
 	AcceptedBetter int
 	AcceptedWorse  int
 	Rejected       int
+	// ElidedEvaluations counts the evaluations of the walk's frozen tail:
+	// candidates counted in Evaluations and Rejected without being priced,
+	// because a sweep of the neighbourhood had proved that none of them
+	// could pass the Metropolis test.
+	ElidedEvaluations int
 	// Chains is the number of restarts merged into the result (1 for a
 	// single-chain solve, K for a portfolio reduction).
 	Chains int
