@@ -69,6 +69,31 @@ func TestBrownoutControllerDeterminism(t *testing.T) {
 	}
 }
 
+// TestBrownoutDefaultWatermarks pins the watermarks a coordinator with
+// brownout enabled derives from its solve queue depth: high at half the
+// depth, cheap at seven eighths (both rounded up, at least 1), low at a
+// quarter (rounded down), and a dwell of three calm epochs.
+func TestBrownoutDefaultWatermarks(t *testing.T) {
+	for _, tc := range []struct{ depth, high, cheap, low int }{
+		{1, 1, 1, 0},
+		{2, 1, 2, 0},
+		{4, 2, 4, 1},
+		{8, 4, 7, 2},
+		{16, 8, 14, 4},
+		{64, 32, 56, 16},
+	} {
+		cfg := testServerConfig()
+		cfg.Workers = 1
+		cfg.QueueDepth = tc.depth
+		cfg.Brownout.Enabled = true
+		b := startServer(t, cfg).brownout
+		if !b.enabled || b.highAt != tc.high || b.cheapAt != tc.cheap || b.lowAt != tc.low || b.dwell != 3 {
+			t.Errorf("depth %d: high/cheap/low/dwell = %d/%d/%d/%d, want %d/%d/%d/3",
+				tc.depth, b.highAt, b.cheapAt, b.lowAt, b.dwell, tc.high, tc.cheap, tc.low)
+		}
+	}
+}
+
 func TestWaitEstimatorEWMA(t *testing.T) {
 	var w waitEstimator
 	if w.estimate(5) != 0 {

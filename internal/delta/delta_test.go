@@ -24,6 +24,66 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestDefaultRepairBudgetAndGates pins the policy a zero Config gets: the
+// repair budget (400 evaluations per dirty user, at least 600, capped at
+// the full budget), a full solve every 8 epochs, a full solve once more
+// than half the batch is dirty, no drift gate, a repair temperature of 0.5
+// and 8192 tracked users before eviction.
+func TestDefaultRepairBudgetAndGates(t *testing.T) {
+	c := Config{}.WithDefaults()
+	if c.FullEvery != 8 || c.RepairTemp != 0.5 || c.DriftKm != 0 || c.MoveThresholdKm != 0 {
+		t.Errorf("defaults: %+v", c)
+	}
+	for _, tc := range []struct{ dirty, full, want int }{
+		{1, 20000, 600}, {2, 20000, 800}, {10, 20000, 4000}, {60, 20000, 20000}, {100, 0, 40000},
+	} {
+		if got := c.RepairBudget(tc.dirty, tc.full); got != tc.want {
+			t.Errorf("RepairBudget(%d, %d) = %d, want %d", tc.dirty, tc.full, got, tc.want)
+		}
+	}
+
+	// Dirty-fraction gate: 5 of 10 users moved repairs, 6 of 10 solves full.
+	const n = 10
+	all := seq(n)
+	st := NewState[int](Config{MoveThresholdKm: 0.01})
+	x := make([]float64, n)
+	for e, tc := range []struct {
+		moved  int // users 0..moved-1 step 1 km
+		full   bool
+		reason string
+	}{
+		{0, true, ReasonCadence},
+		{5, false, ""},
+		{6, true, ReasonDirtyFrac},
+		{0, false, ""}, {0, false, ""}, {0, false, ""}, {0, false, ""}, {0, false, ""},
+		{0, true, ReasonCadence},
+	} {
+		for i := 0; i < tc.moved; i++ {
+			x[i]++
+		}
+		p := st.Plan(e, all, func(i int) geom.Point { return geom.Point{X: x[i]} }, nil)
+		st.Commit(all, local(t, n))
+		if p.Full != tc.full || p.Reason != tc.reason {
+			t.Errorf("epoch %d: %+v, want full=%v reason %q", e, p, tc.full, tc.reason)
+		}
+	}
+
+	// Tracked-user cap: one user over 8192 evicts the least recently seen.
+	big := NewState[string](Config{})
+	still := func(int) geom.Point { return geom.Point{} }
+	big.Plan(0, []string{"a", "b"}, still, nil)
+	fill := make([]string, 8191)
+	for i := range fill {
+		fill[i] = fmt.Sprintf("f%05d", i)
+	}
+	big.Plan(1, fill, still, nil)
+	big.Evict()
+	if len(big.users) != 8192 || big.users["a"] != nil || big.users["b"] == nil {
+		t.Errorf("after eviction: %d users, a kept %v, b kept %v; want 8192 with a evicted",
+			len(big.users), big.users["a"] != nil, big.users["b"] != nil)
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{MoveThresholdKm: -1},
