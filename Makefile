@@ -79,8 +79,12 @@ verify:
 # delta-epoch tier and its differential suite lift the total to ~76.4%.
 # Ratcheted to 77.0 when one move generator, one portfolio-flag parser and
 # one profiling helper replaced duplicated, partly untested code (77.1% at
-# the parent, 78.1% after, same host).
-COVER_MIN ?= 77.0
+# the parent, 78.1% after, same host). Ratcheted to 77.5 when the shared
+# internal/cli flag groups and the brownout/delta/chaos constants replaced
+# duplicated flag declarations and test-only config fields (78.3% at the
+# parent, 78.4% after in two runs, same host), keeping the usual margin
+# for run-to-run noise.
+COVER_MIN ?= 77.5
 
 .PHONY: cover
 cover:

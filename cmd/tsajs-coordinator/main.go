@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/cli"
 )
 
 func main() {
@@ -58,29 +59,10 @@ func main() {
 // ready channel's consumer closes stop (tests drive it through stop).
 func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("tsajs-coordinator", flag.ContinueOnError)
-	defaults := tsajs.DefaultParams()
+	shared := cli.AddCoordinator(fs, 50*time.Millisecond, 20000)
 	var (
-		listen   = fs.String("listen", "127.0.0.1:7600", "listen address")
-		servers  = fs.Int("servers", defaults.NumServers, "number of MEC servers")
-		channels = fs.Int("channels", defaults.NumChannels, "subchannels per cell")
-		window   = fs.Duration("window", 50*time.Millisecond, "epoch batch window")
-		batch    = fs.Int("batch", 0, "max batch size (0 = network slot capacity)")
-		seed     = fs.Uint64("seed", 1, "coordinator random seed")
-		budget   = fs.Int("budget", 20000, "TTSA evaluation budget per epoch")
-
-		workers    = fs.Int("workers", 0, "solver workers draining the epoch queue (0 = GOMAXPROCS)")
-		queueDepth = fs.Int("queue-depth", 0, "solve queue depth before epochs are shed (0 = 2x workers)")
-
-		deadline = fs.Duration("deadline", 0, "default per-request deadline; stale requests are shed at admission or dequeue (0 = none)")
-		brownout = fs.Bool("brownout", false, "degrade epoch solves under queue pressure (truncated anneal, then cheap heuristic) instead of shedding")
-
-		chains  = fs.Int("chains", 0, "solve every full-quality epoch as a K-chain portfolio (0/1 = single TTSA chain)")
-		pfMode  = fs.String("portfolio", "fixed", "portfolio budget allocation: fixed (round-robin, bit-identical across worker counts) or adaptive (online bandit selector; requires -chains > 1)")
-		members = fs.String("members", "", "comma-separated portfolio member roster (ttsa, ttsa-fast, ttsa-wide, attract, hjtora, greedy, cheap); empty = homogeneous ttsa, or the diverse default under -portfolio adaptive")
-
-		deltaOn     = fs.Bool("delta", false, "incremental delta-epoch solving: refresh only moved users' gain rows and repair-anneal around the previous epoch")
-		deltaThresh = fs.Float64("delta-threshold-km", 0.05, "movement that marks a user dirty [km] (0 = every user, every epoch)")
-		deltaEvery  = fs.Int("delta-full-every", 0, "force a full solve every N epochs (0 = library default)")
+		listen     = fs.String("listen", "127.0.0.1:7600", "listen address")
+		deltaEvery = fs.Int("delta-full-every", 0, "force a full solve every N epochs (0 = library default)")
 
 		readTimeout = fs.Duration("read-timeout", 5*time.Minute, "per-connection idle read deadline (negative disables)")
 		maxLine     = fs.Int("max-line-bytes", 1<<20, "maximum request line length on the wire [bytes]")
@@ -98,84 +80,53 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	params := defaults
-	params.NumServers = *servers
-	params.NumChannels = *channels
-	limits := tsajs.WireLimits{ReadTimeout: *readTimeout, MaxLineBytes: *maxLine, MaxConns: *maxConns}
+	cfg, err := shared.Config()
+	if err != nil {
+		return err
+	}
+	cfg.Limits = tsajs.WireLimits{ReadTimeout: *readTimeout, MaxLineBytes: *maxLine, MaxConns: *maxConns}
 
 	if *router {
-		return runRouter(params, *listen, *shardAddrs, *ringReplicas, limits, *metricsAddr, stdout, stop)
+		return runRouter(cfg.Params, *listen, *shardAddrs, *ringReplicas, cfg.Limits, *metricsAddr, stdout, stop)
 	}
 	if *shardAddrs != "" {
 		return fmt.Errorf("-shard-addrs only applies with -router")
 	}
-
-	ttsaCfg := tsajs.DefaultConfig()
-	ttsaCfg.MaxEvaluations = *budget
-
-	pfOpts, err := tsajs.ParsePortfolioFlags(*chains, *pfMode, *members)
-	if err != nil {
-		return err
+	if cfg.Delta != nil {
+		cfg.Delta.FullEvery = *deltaEvery
 	}
-
-	var deltaCfg *tsajs.DeltaConfig
-	if *deltaOn {
-		deltaCfg = &tsajs.DeltaConfig{
-			MoveThresholdKm: *deltaThresh,
-			FullEvery:       *deltaEvery,
-		}
-	}
-
-	var partition *tsajs.CoordinatorPartition
 	if *shards > 0 {
 		ring, err := tsajs.NewShardRing(*shards, *ringReplicas)
 		if err != nil {
 			return err
 		}
-		partition = &tsajs.CoordinatorPartition{
+		cfg.Partition = &tsajs.CoordinatorPartition{
 			Shards:     *shards,
 			Index:      *shardIndex,
-			Assignment: ring.Assignment(*servers),
+			Assignment: ring.Assignment(cfg.Params.NumServers),
 		}
 	} else if *shardIndex != 0 {
 		return fmt.Errorf("-shard-index needs -shards")
 	}
 
-	reg := tsajs.NewMetricsRegistry()
-	srv, err := tsajs.NewCoordinator(*listen, tsajs.CoordinatorConfig{
-		Params:      params,
-		BatchWindow: *window,
-		MaxBatch:    *batch,
-		Workers:     *workers,
-		QueueDepth:  *queueDepth,
-		TTSA:        &ttsaCfg,
-		Seed:        *seed,
-		Limits:      limits,
-		Metrics:     reg,
-
-		DefaultDeadline: *deadline,
-		Brownout:        tsajs.BrownoutConfig{Enabled: *brownout},
-		Partition:       partition,
-		Delta:           deltaCfg,
-		Portfolio:       pfOpts,
-	})
+	cfg.Metrics = tsajs.NewMetricsRegistry()
+	srv, err := tsajs.NewCoordinator(*listen, cfg)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
 	fmt.Fprintf(stdout, "coordinator listening on %s (S=%d, N=%d, window=%s)\n",
-		srv.Addr(), *servers, *channels, *window)
-	if partition != nil {
+		srv.Addr(), cfg.Params.NumServers, cfg.Params.NumChannels, cfg.BatchWindow)
+	if p := cfg.Partition; p != nil {
 		fmt.Fprintf(stdout, "shard %d of %d owning cells %v\n",
-			partition.Index, partition.Shards, tsajs.ShardOwned(partition.Assignment, partition.Index))
+			p.Index, p.Shards, tsajs.ShardOwned(p.Assignment, p.Index))
 	}
-	if deltaCfg != nil {
+	if cfg.Delta != nil {
 		fmt.Fprintf(stdout, "delta-epoch serving: threshold=%.3fkm full-every=%d\n",
-			deltaCfg.MoveThresholdKm, deltaCfg.WithDefaults().FullEvery)
+			cfg.Delta.MoveThresholdKm, cfg.Delta.WithDefaults().FullEvery)
 	}
 
-	if err := serveUntilStopped(*metricsAddr, tsajs.MetricsMux(reg, func() any { return srv.Stats() }), stdout, stop); err != nil {
+	if err := serveUntilStopped(*metricsAddr, tsajs.MetricsMux(cfg.Metrics, func() any { return srv.Stats() }), stdout, stop); err != nil {
 		return err
 	}
 	stats := srv.Stats()
@@ -194,7 +145,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		fmt.Fprintf(stdout, "delta: %d full epochs, %d repair epochs, %d dirty users, %d gain rows reused\n",
 			stats.DeltaFullEpochs, stats.DeltaRepairEpochs, stats.DeltaDirtyUsers, stats.DeltaRowsReused)
 	}
-	if pfOpts != nil {
+	if cfg.Portfolio != nil {
 		for _, m := range sortedKeys(stats.PortfolioMemberSlots) {
 			fmt.Fprintf(stdout, "portfolio member %-10s slots=%-6d wins=%-6d budget=%.1fms\n",
 				m, stats.PortfolioMemberSlots[m], stats.PortfolioMemberWins[m], stats.PortfolioBudgetMs[m])

@@ -3,9 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -386,4 +390,41 @@ func waitForBanner(t *testing.T, out *lockedWriter, marker string) string {
 	}
 	t.Fatalf("output never contained %q", marker)
 	return ""
+}
+
+// TestSharedFlagUsage checks that the coordinator flags this command shares
+// with tsajs-loadgen print exactly the help pinned in
+// internal/cli/testdata/coordinator_usage.txt, as they do there, so the
+// two commands describe them identically (defaults aside: each command
+// picks its own -window and -budget).
+func TestSharedFlagUsage(t *testing.T) {
+	want, err := os.ReadFile("../../internal/cli/testdata/coordinator_usage.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = stderr
+	err = run([]string{"-h"}, io.Discard, nil)
+	os.Stderr = saved
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h returned %v, want flag.ErrHelp", err)
+	}
+	help, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := regexp.MustCompile(` \(default [^)]*\)`).ReplaceAllString(string(help), "")
+	blocks := regexp.MustCompile(`(?m)^  -`).Split(string(want), -1)[1:]
+	if len(blocks) != 15 {
+		t.Fatalf("%d pinned flags, want 15", len(blocks))
+	}
+	for _, b := range blocks {
+		if !strings.Contains(got, "  -"+b) {
+			t.Errorf("help lacks the pinned block:\n  -%s", b)
+		}
+	}
 }

@@ -9,13 +9,15 @@
 //	tsajs-loadgen -addr 127.0.0.1:7600 -rate 200        # externally running one
 //	tsajs-loadgen -protocol binary -conns 4             # wirev2 multiplexed frames
 //	tsajs-loadgen -workers 4 -queue-depth 8 -json       # pipeline knobs + JSON report
-//	tsajs-loadgen -deadline 150 -brownout -chaos 40ms   # overload-resilience drill
+//	tsajs-loadgen -deadline 150ms -brownout -chaos 40ms # overload-resilience drill
 //	tsajs-loadgen -shards 4 -conns 16                   # self-hosted 4-shard cluster
 //
-// With -addr empty (the default) the tool starts an in-process coordinator
-// with the given -servers/-channels/-workers/-queue-depth configuration, so
-// a single command measures the serving pipeline end to end — TCP framing,
-// epoch batching, the bounded solve queue, and the TTSA solve itself.
+// With -addr empty (the default) the tool starts an in-process coordinator,
+// configured by the serving flags it shares with tsajs-coordinator
+// (-servers, -channels, -workers, -queue-depth, -deadline, -delta and so
+// on; internal/cli), so a single command measures the serving pipeline end
+// to end — TCP framing, epoch batching, the bounded solve queue, and the
+// TTSA solve itself. With -addr set those flags are ignored.
 // Epochs/sec comes from a health-probe delta over the measured window;
 // latencies are client-observed round trips.
 //
@@ -41,6 +43,7 @@ import (
 	"time"
 
 	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/cli"
 )
 
 func main() {
@@ -112,7 +115,7 @@ type report struct {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tsajs-loadgen", flag.ContinueOnError)
-	defaults := tsajs.DefaultParams()
+	shared := cli.AddCoordinator(fs, 20*time.Millisecond, 4000)
 	var (
 		addr     = fs.String("addr", "", "coordinator address (empty: self-host one in process)")
 		conns    = fs.Int("conns", 8, "concurrent client connections")
@@ -121,26 +124,7 @@ func run(args []string, stdout io.Writer) error {
 		rate     = fs.Float64("rate", 0, "offered load, requests/sec across all conns (0 = closed loop)")
 		jsonOut  = fs.Bool("json", false, "emit the report as JSON")
 
-		servers    = fs.Int("servers", defaults.NumServers, "self-host: number of MEC servers")
-		channels   = fs.Int("channels", defaults.NumChannels, "self-host: subchannels per cell")
-		window     = fs.Duration("window", 20*time.Millisecond, "self-host: epoch batch window")
-		batch      = fs.Int("batch", 0, "self-host: max batch size (0 = slot capacity)")
-		workers    = fs.Int("workers", 0, "self-host: solver workers (0 = GOMAXPROCS)")
-		queueDepth = fs.Int("queue-depth", 0, "self-host: solve queue depth (0 = 2x workers)")
-		budget     = fs.Int("budget", 4000, "self-host: TTSA evaluation budget per epoch")
-		seed       = fs.Uint64("seed", 1, "self-host: coordinator random seed")
-
-		deadlineMs = fs.Float64("deadline", 0, "self-host: default per-request deadline [ms] (0 = none)")
-		brownout   = fs.Bool("brownout", false, "self-host: enable brownout solver degradation under queue pressure")
-		chaos      = fs.Duration("chaos", 0, "self-host: inject this solver delay into every epoch (0 = none)")
-
-		deltaOn     = fs.Bool("delta", false, "self-host: incremental delta-epoch solving")
-		deltaThresh = fs.Float64("delta-threshold-km", 0.05, "self-host: movement that marks a user dirty [km] (0 = every user, every epoch)")
-
-		chains  = fs.Int("chains", 0, "self-host: solve every full-quality epoch as a K-chain portfolio (0/1 = single TTSA chain)")
-		pfMode  = fs.String("portfolio", "fixed", "self-host: portfolio budget allocation, fixed (round-robin) or adaptive (online bandit selector; requires -chains > 1)")
-		members = fs.String("members", "", "self-host: comma-separated portfolio member roster (ttsa, ttsa-fast, ttsa-wide, attract, hjtora, greedy, cheap); empty = homogeneous ttsa, or the diverse default under -portfolio adaptive")
-
+		chaos        = fs.Duration("chaos", 0, "self-host: inject this solver delay into every epoch (0 = none)")
 		shards       = fs.Int("shards", 0, "self-host: coordinator shards (0 = one unpartitioned coordinator; K >= 1 partitions the cells over a K-shard cluster)")
 		ringReplicas = fs.Int("ring-replicas", 0, "self-host: consistent-hash ring vnodes per shard (0 = default)")
 	)
@@ -161,38 +145,14 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-shards drives a self-hosted cluster and cannot combine with -addr")
 	}
 
-	pfOpts, err := tsajs.ParsePortfolioFlags(*chains, *pfMode, *members)
+	cfg, err := shared.Config()
 	if err != nil {
 		return err
 	}
-
-	params := defaults
-	params.NumServers = *servers
-	params.NumChannels = *channels
-	ttsaCfg := tsajs.DefaultConfig()
-	ttsaCfg.MaxEvaluations = *budget
-	mkConfig := func(partition *tsajs.CoordinatorPartition) tsajs.CoordinatorConfig {
-		cfg := tsajs.CoordinatorConfig{
-			Params:          params,
-			BatchWindow:     *window,
-			MaxBatch:        *batch,
-			Workers:         *workers,
-			QueueDepth:      *queueDepth,
-			TTSA:            &ttsaCfg,
-			Seed:            *seed,
-			DefaultDeadline: time.Duration(*deadlineMs * float64(time.Millisecond)),
-			Brownout:        tsajs.BrownoutConfig{Enabled: *brownout},
-			Partition:       partition,
-			Portfolio:       pfOpts,
-		}
-		if *chaos > 0 {
-			cfg.SolverChaos = &tsajs.SolverChaos{Seed: *seed, DelayProb: 1, Delay: *chaos}
-		}
-		if *deltaOn {
-			cfg.Delta = &tsajs.DeltaConfig{MoveThresholdKm: *deltaThresh}
-		}
-		return cfg
+	if *chaos > 0 {
+		cfg.SolverChaos = &tsajs.SolverChaos{Seed: cfg.Seed, DelayProb: 1, Delay: *chaos}
 	}
+	params := cfg.Params
 	// With -json the banner moves to stderr so stdout stays a single
 	// machine-readable document fit for redirection.
 	bannerOut := stdout
@@ -215,7 +175,7 @@ func run(args []string, stdout io.Writer) error {
 		},
 		userID: func(c, i int) string { return fmt.Sprintf("lg-%d-%d", c, i) },
 	}
-	if *deltaOn && *shards == 0 {
+	if cfg.Delta != nil && *shards == 0 {
 		// Delta mode tracks per-user state across epochs, so the load must
 		// be a stable population taking small steps — fresh user IDs every
 		// request would leave every epoch fully dirty.
@@ -235,11 +195,12 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		assignment := ring.Assignment(*servers)
+		assignment := ring.Assignment(params.NumServers)
 		addrs := make([]string, *shards)
 		for i := 0; i < *shards; i++ {
-			srv, err := tsajs.NewCoordinator("127.0.0.1:0",
-				mkConfig(&tsajs.CoordinatorPartition{Shards: *shards, Index: i, Assignment: assignment}))
+			shardCfg := cfg
+			shardCfg.Partition = &tsajs.CoordinatorPartition{Shards: *shards, Index: i, Assignment: assignment}
+			srv, err := tsajs.NewCoordinator("127.0.0.1:0", shardCfg)
 			if err != nil {
 				return err
 			}
@@ -283,10 +244,10 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 		fmt.Fprintf(bannerOut, "self-hosted %d-shard cluster on %v (S=%d, N=%d)\n",
-			*shards, addrs, *servers, *channels)
+			*shards, addrs, params.NumServers, params.NumChannels)
 
 	case *addr == "":
-		srv, err := tsajs.NewCoordinator("127.0.0.1:0", mkConfig(nil))
+		srv, err := tsajs.NewCoordinator("127.0.0.1:0", cfg)
 		if err != nil {
 			return err
 		}
@@ -294,7 +255,7 @@ func run(args []string, stdout io.Writer) error {
 		target := srv.Addr().String()
 		opts.dial = dialFunc(target, *protocol)
 		fmt.Fprintf(bannerOut, "self-hosted coordinator on %s (S=%d, N=%d, workers=%d)\n",
-			target, *servers, *channels, srv.Stats().SolverWorkers)
+			target, params.NumServers, params.NumChannels, srv.Stats().SolverWorkers)
 
 	default:
 		opts.dial = dialFunc(*addr, *protocol)

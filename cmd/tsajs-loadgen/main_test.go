@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -191,6 +196,31 @@ func TestLoadgenFlagValidation(t *testing.T) {
 	}
 }
 
+// TestLoadgenDeadlineBrownoutRun runs a self-hosted coordinator with a
+// 60ms default deadline, given as a duration like the coordinator's
+// -deadline, and brownout on.
+func TestLoadgenDeadlineBrownoutRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("load generation run skipped in -short mode")
+	}
+	var out bytes.Buffer
+	err := run([]string{
+		"-conns", "2", "-duration", "400ms", "-window", "10ms", "-budget", "300",
+		"-deadline", "60ms", "-brownout", "-json",
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	var rep report
+	if err := json.Unmarshal([]byte(text[strings.Index(text, "{"):]), &rep); err != nil {
+		t.Fatalf("report not parseable: %v\n%s", err, text)
+	}
+	if rep.Requests == 0 || rep.TransportErrors != 0 {
+		t.Errorf("%d requests, %d transport errors; want some, none", rep.Requests, rep.TransportErrors)
+	}
+}
+
 // TestQuantileMs pins the nearest-rank percentile helper.
 func TestQuantileMs(t *testing.T) {
 	if got := quantileMs(nil, 0.5); got != 0 {
@@ -205,5 +235,42 @@ func TestQuantileMs(t *testing.T) {
 	}
 	if got := quantileMs(sorted, 0.5); got != 2 {
 		t.Errorf("q0.5 = %v, want 2", got)
+	}
+}
+
+// TestSharedFlagUsage checks that the coordinator flags this command shares
+// with tsajs-coordinator print exactly the help pinned in
+// internal/cli/testdata/coordinator_usage.txt, as they do there, so the
+// two commands describe them identically (defaults aside: each command
+// picks its own -window and -budget).
+func TestSharedFlagUsage(t *testing.T) {
+	want, err := os.ReadFile("../../internal/cli/testdata/coordinator_usage.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = stderr
+	err = run([]string{"-h"}, io.Discard)
+	os.Stderr = saved
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h returned %v, want flag.ErrHelp", err)
+	}
+	help, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := regexp.MustCompile(` \(default [^)]*\)`).ReplaceAllString(string(help), "")
+	blocks := regexp.MustCompile(`(?m)^  -`).Split(string(want), -1)[1:]
+	if len(blocks) != 15 {
+		t.Fatalf("%d pinned flags, want 15", len(blocks))
+	}
+	for _, b := range blocks {
+		if !strings.Contains(got, "  -"+b) {
+			t.Errorf("help lacks the pinned block:\n  -%s", b)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/cli"
 )
 
 func main() {
@@ -41,9 +42,7 @@ func run(args []string, stdout io.Writer) error {
 		warm     = fs.Bool("warm", false, "warm-start each epoch from the previous decision")
 		budget   = fs.Int("budget", 5000, "TTSA evaluation budget per epoch")
 		seed     = fs.Uint64("seed", 1, "simulation seed")
-		chains   = fs.Int("chains", 0, "run every epoch's solve as a K-chain portfolio (0/1 = single TTSA chain)")
-		pfMode   = fs.String("portfolio", "fixed", "portfolio budget allocation: fixed (round-robin, bit-identical across worker counts) or adaptive (online bandit selector; requires -chains > 1)")
-		members  = fs.String("members", "", "comma-separated portfolio member roster (ttsa, ttsa-fast, ttsa-wide, attract, hjtora, greedy, cheap); empty = homogeneous ttsa, or the diverse default under -portfolio adaptive")
+		pfFlags  = cli.AddPortfolio(fs)
 
 		deltaOn      = fs.Bool("delta", false, "incremental delta-epoch solving (dirty-set tracking + scoped repair anneal)")
 		deltaThresh  = fs.Float64("delta-threshold-km", 0.05, "movement that marks a user dirty [km] (0 = every user, every epoch)")
@@ -65,7 +64,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	var pf tsajs.PortfolioOptions
-	if opts, err := tsajs.ParsePortfolioFlags(*chains, *pfMode, *members); err != nil {
+	if opts, err := pfFlags.Options(); err != nil {
 		return err
 	} else if opts != nil {
 		pf = *opts
@@ -120,7 +119,7 @@ func run(args []string, stdout io.Writer) error {
 		Metrics:           reg,
 		FaultPlan:         plan,
 		Delta:             deltaCfg,
-		Chains:            *chains,
+		Chains:            pf.Chains,
 		PortfolioMembers:  pf.Members,
 		PortfolioAdaptive: pf.Adaptive,
 	})

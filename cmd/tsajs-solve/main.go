@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/cli"
 	"github.com/tsajs/tsajs/internal/perf"
 )
 
@@ -33,10 +34,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		in      = fs.String("in", "", "scenario JSON file (default: stdin)")
 		scheme  = fs.String("scheme", "tsajs", "scheduler: tsajs, exhaustive, hjtora, localsearch, greedy")
 		seed    = fs.Uint64("seed", 1, "random seed for stochastic schedulers")
-		chains  = fs.Int("chains", 1, "run the tsajs scheme as a K-chain multi-restart portfolio (deterministic per seed)")
+		pfFlags = cli.AddPortfolio(fs)
 		workers = fs.Int("workers", 0, "portfolio worker cap (0 = GOMAXPROCS; affects speed only, never the result)")
-		pfMode  = fs.String("portfolio", "fixed", "portfolio budget allocation: fixed (round-robin, the reproducibility default) or adaptive (bandit selector)")
-		members = fs.String("members", "", "comma-separated portfolio member roster (ttsa, ttsa-fast, ttsa-wide, attract, hjtora, greedy, cheap); empty = homogeneous ttsa, or the diverse default under -portfolio adaptive")
 		detail  = fs.Bool("detail", false, "emit the full per-user report as JSON")
 		trace   = fs.String("trace", "", "write the TTSA convergence trace as CSV to this file (tsajs scheme only)")
 		cpu     = fs.String("cpuprofile", "", "write a CPU profile of the solve to this file")
@@ -69,10 +68,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *chains < 1 {
-		return fmt.Errorf("-chains must be at least 1, got %d", *chains)
-	}
-	pf, err := tsajs.ParsePortfolioFlags(*chains, *pfMode, *members)
+	pf, err := pfFlags.Options()
 	if err != nil {
 		return err
 	}
@@ -82,7 +78,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return fmt.Errorf("-chains requires the tsajs scheme, got %q", *scheme)
 		}
 		if *trace != "" {
-			return fmt.Errorf("-trace traces a single chain; it cannot be combined with -chains %d", *chains)
+			return fmt.Errorf("-trace traces a single chain; it cannot be combined with -chains %d", pf.Chains)
 		}
 		pf.Workers = *workers
 		sched, err = tsajs.NewPortfolio(tsajs.DefaultConfig(), *pf)

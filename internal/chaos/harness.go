@@ -27,17 +27,8 @@ import (
 	"github.com/tsajs/tsajs/internal/task"
 )
 
-// Config parametrizes one harness run.
+// Config parametrizes one harness run's windows and fault.
 type Config struct {
-	// Params describes the coordinated network. Zero takes
-	// scenario.DefaultParams with 4 servers and 2 channels — small enough
-	// that epochs solve in milliseconds on one core.
-	Params scenario.Params
-	// Seed drives the coordinator and the fault plan. Zero defaults to 1.
-	Seed uint64
-	// Conns is the number of concurrent client connections. Zero defaults
-	// to 4.
-	Conns int
 	// Calibrate is the closed-loop window used to measure the sustainable
 	// rate before overload begins. Zero defaults to 500ms.
 	Calibrate time.Duration
@@ -46,15 +37,6 @@ type Config struct {
 	// Deadline is the coordinator's DefaultDeadline during the overload
 	// phase. Zero defaults to 250ms.
 	Deadline time.Duration
-	// Workers and QueueDepth configure the overloaded coordinator's
-	// pipeline. Zero defaults to 1 worker / depth 8: a single solver makes
-	// queue pressure — and therefore brownout and expiry — deterministic
-	// to provoke.
-	Workers    int
-	QueueDepth int
-	// Brownout configures degradation; the zero value enables it with the
-	// package defaults (set Brownout.Enabled explicitly to run without).
-	Brownout *cran.BrownoutConfig
 	// FaultDelay is the delay the injected slow-solver fault adds to every
 	// solve in the fault window. Zero defaults to 40ms.
 	FaultDelay time.Duration
@@ -62,6 +44,19 @@ type Config struct {
 
 // The fixed parameters of every harness run.
 const (
+	// servers and channels size the coordinated network: small enough
+	// that epochs solve in milliseconds on one core.
+	servers  = 4
+	channels = 2
+	// seed drives the coordinator and the fault plan.
+	seed = 1
+	// conns is the number of concurrent client connections.
+	conns = 4
+	// workers and queueDepth configure the overloaded coordinator's
+	// pipeline: a single solver makes queue pressure, and so brownout
+	// and expiry, deterministic to provoke. Brownout is always on.
+	workers    = 1
+	queueDepth = 8
 	// ttsaBudget is the full-tier evaluation budget.
 	ttsaBudget = 1500
 	// rateMultiplier scales the calibrated rate into the offered overload
@@ -79,17 +74,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.Params.NumServers == 0 {
-		c.Params = scenario.DefaultParams()
-		c.Params.NumServers = 4
-		c.Params.NumChannels = 2
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Conns == 0 {
-		c.Conns = 4
-	}
 	if c.Calibrate == 0 {
 		c.Calibrate = 500 * time.Millisecond
 	}
@@ -98,15 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Deadline == 0 {
 		c.Deadline = 250 * time.Millisecond
-	}
-	if c.Workers == 0 {
-		c.Workers = 1
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 8
-	}
-	if c.Brownout == nil {
-		c.Brownout = &cran.BrownoutConfig{Enabled: true}
 	}
 	if c.FaultDelay == 0 {
 		c.FaultDelay = 40 * time.Millisecond
@@ -175,16 +150,19 @@ func Run(cfg Config) (Report, error) {
 	return rep, nil
 }
 
-func serverConfig(cfg Config) cran.ServerConfig {
+func serverConfig() cran.ServerConfig {
+	params := scenario.DefaultParams()
+	params.NumServers = servers
+	params.NumChannels = channels
 	ttsaCfg := core.DefaultConfig()
 	ttsaCfg.MaxEvaluations = ttsaBudget
 	return cran.ServerConfig{
-		Params:      cfg.Params,
+		Params:      params,
 		BatchWindow: 5 * time.Millisecond,
 		TTSA:        &ttsaCfg,
-		Seed:        cfg.Seed,
-		Workers:     cfg.Workers,
-		QueueDepth:  cfg.QueueDepth,
+		Seed:        seed,
+		Workers:     workers,
+		QueueDepth:  queueDepth,
 	}
 }
 
@@ -201,10 +179,10 @@ func driveRequest(c, i int) cran.OffloadRequest {
 }
 
 // calibrate measures the coordinator's closed-loop sustainable rate with no
-// faults, no deadlines, and no brownout: Conns clients issuing back to back
+// faults, no deadlines, and no brownout: conns clients issuing back to back
 // for the calibration window.
 func calibrate(cfg Config) (float64, error) {
-	srv, err := cran.NewServer("127.0.0.1:0", serverConfig(cfg))
+	srv, err := cran.NewServer("127.0.0.1:0", serverConfig())
 	if err != nil {
 		return 0, err
 	}
@@ -213,9 +191,9 @@ func calibrate(cfg Config) (float64, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Calibrate+30*time.Second)
 	defer cancel()
 	deadline := time.Now().Add(cfg.Calibrate)
-	counts := make([]int, cfg.Conns)
+	counts := make([]int, conns)
 	var wg sync.WaitGroup
-	for c := 0; c < cfg.Conns; c++ {
+	for c := 0; c < conns; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
@@ -244,14 +222,14 @@ func calibrate(cfg Config) (float64, error) {
 // overload drives a fault-injected coordinator at the offered overload rate
 // and classifies every request, then checks the invariants.
 func overload(cfg Config, calibrated float64) (Report, error) {
-	scfg := serverConfig(cfg)
+	scfg := serverConfig()
 	scfg.DefaultDeadline = cfg.Deadline
-	scfg.Brownout = *cfg.Brownout
+	scfg.Brownout.Enabled = true
 	// The fault window opens at server boot; driving starts immediately
 	// after, so the two are within NewServer's setup latency of each other.
 	start := time.Now()
 	scfg.SolverChaos = &faults.SolverChaos{
-		Seed:      cfg.Seed,
+		Seed:      seed,
 		DelayProb: 1,
 		Delay:     cfg.FaultDelay,
 		Start:     start,
@@ -312,7 +290,7 @@ func overload(cfg Config, calibrated float64) (Report, error) {
 				return
 			}
 			defer cli.Close()
-			resp, err := cli.Offload(ctx, driveRequest(i%cfg.Conns, i))
+			resp, err := cli.Offload(ctx, driveRequest(i%conns, i))
 			record(at, classify(resp, err), err)
 		}(i, at)
 	}

@@ -45,9 +45,6 @@ func TestHarnessSmoke(t *testing.T) {
 // TestHarnessDefaults pins the zero-value fill-ins the harness documents.
 func TestHarnessDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if !cfg.Brownout.Enabled {
-		t.Error("default harness config must enable brownout")
-	}
 	// Faults cover the first half of the 2s drive. Its phase buckets end
 	// a tenth inside the edge (0.9s) and recovery starts 2/5 of the rest
 	// past it (1.4s), so an answer just inside each bucket counts there.

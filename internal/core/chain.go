@@ -40,13 +40,10 @@ type ChainOptions struct {
 // rng state.
 func (t *TTSA) ScheduleChain(sc *scenario.Scenario, rng *simrand.Source, opts ChainOptions) (solver.Result, error) {
 	if opts.Config != nil {
-		if err := opts.Config.Validate(); err != nil {
+		var err error
+		if t, err = t.WithConfig(*opts.Config); err != nil {
 			return solver.Result{}, err
 		}
-		tt := *t
-		tt.cfg = *opts.Config
-		res, _, err := tt.runChain(sc, rng, false, opts)
-		return res, err
 	}
 	res, _, err := t.runChain(sc, rng, false, opts)
 	return res, err

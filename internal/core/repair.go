@@ -27,13 +27,8 @@ func (t *TTSA) ScheduleRepair(sc *scenario.Scenario, rng *simrand.Source, initia
 	if initial == nil {
 		return solver.Result{}, errors.New("core: nil repair incumbent")
 	}
-	if err := initial.Validate(); err != nil {
-		return solver.Result{}, fmt.Errorf("core: repair incumbent: %w", err)
-	}
-	if initial.Users() != sc.U() || initial.Servers() != sc.S() || initial.Channels() != sc.N() {
-		return solver.Result{}, fmt.Errorf(
-			"core: repair incumbent dimensions (%d,%d,%d) do not match scenario (%d,%d,%d)",
-			initial.Users(), initial.Servers(), initial.Channels(), sc.U(), sc.S(), sc.N())
+	if err := checkInitial(sc, initial, "repair incumbent"); err != nil {
+		return solver.Result{}, err
 	}
 	if len(targets) == 0 {
 		return solver.Result{}, errors.New("core: repair needs a non-empty target set")

@@ -35,7 +35,7 @@ type TracePoint struct {
 // records one TracePoint per temperature stage. Given the same scenario
 // and rng state it returns the identical result.
 func (t *TTSA) ScheduleTrace(sc *scenario.Scenario, rng *simrand.Source) (solver.Result, []TracePoint, error) {
-	return t.run(sc, rng, true, nil)
+	return t.runChain(sc, rng, true, ChainOptions{})
 }
 
 // ScheduleFrom runs Algorithm 1 warm-started from the given feasible
@@ -48,25 +48,28 @@ func (t *TTSA) ScheduleFrom(sc *scenario.Scenario, rng *simrand.Source, initial 
 	if initial == nil {
 		return solver.Result{}, errors.New("core: nil warm-start decision")
 	}
-	if err := initial.Validate(); err != nil {
-		return solver.Result{}, fmt.Errorf("core: warm start: %w", err)
+	if err := checkInitial(sc, initial, "warm start"); err != nil {
+		return solver.Result{}, err
 	}
-	if initial.Users() != sc.U() || initial.Servers() != sc.S() || initial.Channels() != sc.N() {
-		return solver.Result{}, fmt.Errorf(
-			"core: warm start dimensions (%d,%d,%d) do not match scenario (%d,%d,%d)",
-			initial.Users(), initial.Servers(), initial.Channels(), sc.U(), sc.S(), sc.N())
-	}
-	res, _, err := t.run(sc, rng, false, initial)
+	res, _, err := t.runChain(sc, rng, false, ChainOptions{Initial: initial})
 	return res, err
 }
 
-// run is the single implementation of Algorithm 1 behind Schedule,
-// ScheduleTrace and ScheduleFrom.
-func (t *TTSA) run(sc *scenario.Scenario, rng *simrand.Source, withTrace bool, initial *assign.Assignment) (solver.Result, []TracePoint, error) {
-	return t.runChain(sc, rng, withTrace, ChainOptions{Initial: initial})
+// checkInitial checks that a warm-start or repair decision is valid and
+// shaped like the scenario; what names the decision in the error.
+func checkInitial(sc *scenario.Scenario, initial *assign.Assignment, what string) error {
+	if err := initial.Validate(); err != nil {
+		return fmt.Errorf("core: %s: %w", what, err)
+	}
+	if initial.Users() != sc.U() || initial.Servers() != sc.S() || initial.Channels() != sc.N() {
+		return fmt.Errorf("core: %s dimensions (%d,%d,%d) do not match scenario (%d,%d,%d)",
+			what, initial.Users(), initial.Servers(), initial.Channels(), sc.U(), sc.S(), sc.N())
+	}
+	return nil
 }
 
-// runChain is run plus the portfolio machinery of ChainOptions: an
+// runChain is the single implementation of Algorithm 1 behind every
+// Schedule* method, with the portfolio machinery of ChainOptions: an
 // optional reusable evaluator, warm start and target scoping.
 func (t *TTSA) runChain(sc *scenario.Scenario, rng *simrand.Source, withTrace bool, opts ChainOptions) (solver.Result, []TracePoint, error) {
 	started := time.Now()

@@ -81,6 +81,6 @@ func (t *TTSA) Name() string { return "TSAJS" }
 // algorithm and, for the same scenario and rng state, return the identical
 // result.
 func (t *TTSA) Schedule(sc *scenario.Scenario, rng *simrand.Source) (solver.Result, error) {
-	res, _, err := t.run(sc, rng, false, nil)
+	res, _, err := t.runChain(sc, rng, false, ChainOptions{})
 	return res, err
 }

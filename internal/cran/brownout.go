@@ -1,7 +1,6 @@
 package cran
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
@@ -23,67 +22,25 @@ type BrownoutConfig struct {
 	// behaviour: every epoch is solved at full quality and overload is
 	// handled solely by shedding.
 	Enabled bool
-	// HighFraction is the queue fill fraction (depth / QueueDepth) at or
-	// above which epochs degrade to the truncated-anneal tier. Zero
-	// defaults to 0.5.
-	HighFraction float64
-	// CheapFraction is the fill fraction at or above which epochs use the
-	// cheap anneal-free tier. Zero defaults to 0.875.
-	CheapFraction float64
-	// LowFraction is the fill fraction at or below which the controller
-	// starts counting calm epochs toward recovery. Zero defaults to 0.25.
-	LowFraction float64
-	// DwellEpochs is how many consecutive calm epochs (depth at or below
-	// LowFraction) must pass before the controller steps back up one tier —
-	// the hysteresis that stops tier flapping around a threshold. Zero
-	// defaults to 3.
-	DwellEpochs int
 }
 
-func (c BrownoutConfig) withDefaults() BrownoutConfig {
-	if c.HighFraction == 0 {
-		c.HighFraction = 0.5
-	}
-	if c.CheapFraction == 0 {
-		c.CheapFraction = 0.875
-	}
-	if c.LowFraction == 0 {
-		c.LowFraction = 0.25
-	}
-	if c.DwellEpochs == 0 {
-		c.DwellEpochs = 3
-	}
-	return c
-}
-
-// Validate checks the configuration domain.
-func (c BrownoutConfig) Validate() error {
-	cc := c.withDefaults()
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"high fraction", cc.HighFraction},
-		{"cheap fraction", cc.CheapFraction},
-		{"low fraction", cc.LowFraction},
-	} {
-		if f.v < 0 || f.v > 1 || f.v != f.v {
-			return fmt.Errorf("cran: brownout %s must be in [0,1], got %g", f.name, f.v)
-		}
-	}
-	if cc.LowFraction >= cc.HighFraction {
-		return fmt.Errorf("cran: brownout low fraction %g must be below high fraction %g (hysteresis band)",
-			cc.LowFraction, cc.HighFraction)
-	}
-	if cc.HighFraction > cc.CheapFraction {
-		return fmt.Errorf("cran: brownout high fraction %g must not exceed cheap fraction %g",
-			cc.HighFraction, cc.CheapFraction)
-	}
-	if c.DwellEpochs < 0 {
-		return fmt.Errorf("cran: brownout dwell must be non-negative, got %d", c.DwellEpochs)
-	}
-	return nil
-}
+// The controller's watermarks, as fractions of the solve queue depth, and
+// its recovery hysteresis.
+const (
+	// brownoutHigh is the fill fraction at or above which epochs degrade
+	// to the truncated-anneal tier.
+	brownoutHigh = 0.5
+	// brownoutCheap is the fill fraction at or above which epochs use the
+	// cheap anneal-free tier.
+	brownoutCheap = 0.875
+	// brownoutLow is the fill fraction at or below which the controller
+	// counts calm epochs toward recovery.
+	brownoutLow = 0.25
+	// brownoutDwell is how many consecutive calm epochs must pass before
+	// the controller steps back up one tier — the hysteresis that stops
+	// tier flapping around a threshold.
+	brownoutDwell = 3
+)
 
 // epochTier is the internal quality-tier ordinal; higher is cheaper.
 type epochTier int
@@ -112,7 +69,7 @@ func (t epochTier) wire() string {
 //
 // Escalation is immediate (an overload spike degrades the very next
 // epoch); de-escalation is damped: the queue must sit at or below the low
-// watermark for DwellEpochs consecutive epochs before the controller steps
+// watermark for brownoutDwell consecutive epochs before the controller steps
 // back up one tier, and any excursion above it resets the count. Depths in
 // the band between the watermarks hold the current tier (hysteresis).
 type brownoutController struct {
@@ -137,17 +94,13 @@ func newBrownoutController(cfg BrownoutConfig, queueDepth int) *brownoutControll
 		}
 		return at
 	}
-	b := &brownoutController{
+	return &brownoutController{
 		enabled: true,
-		highAt:  ceilFrac(cfg.HighFraction),
-		cheapAt: ceilFrac(cfg.CheapFraction),
-		lowAt:   int(cfg.LowFraction * float64(queueDepth)),
-		dwell:   cfg.DwellEpochs,
+		highAt:  ceilFrac(brownoutHigh),
+		cheapAt: ceilFrac(brownoutCheap),
+		lowAt:   int(brownoutLow * float64(queueDepth)),
+		dwell:   brownoutDwell,
 	}
-	if b.cheapAt < b.highAt {
-		b.cheapAt = b.highAt
-	}
-	return b
 }
 
 // observe feeds the controller the solve queue depth seen when an epoch is

@@ -95,14 +95,8 @@ func TestServingComposition(t *testing.T) {
 		cfg.BatchWindow = time.Hour
 		cfg.MaxBatch = 2
 		cfg.Workers = 1
-		cfg.QueueDepth = 4
-		cfg.Brownout = BrownoutConfig{
-			Enabled:       true,
-			HighFraction:  0.5,
-			CheapFraction: 0.75,
-			LowFraction:   0.25,
-			DwellEpochs:   1,
-		}
+		cfg.QueueDepth = 4 // truncated tier from depth 2
+		cfg.Brownout = BrownoutConfig{Enabled: true}
 		cfg.SolverChaos = &faults.SolverChaos{Seed: 3, DelayProb: 1, Delay: 40 * time.Millisecond}
 		cfg.Delta = deltaAt(deltaDiffThreshold)
 		srv := startServer(t, cfg)

@@ -125,14 +125,8 @@ func TestAdaptiveBrownoutPinning(t *testing.T) {
 	cfg.BatchWindow = time.Hour
 	cfg.MaxBatch = 2
 	cfg.Workers = 1
-	cfg.QueueDepth = 4
-	cfg.Brownout = BrownoutConfig{
-		Enabled:       true,
-		HighFraction:  0.5,  // highAt = 2
-		CheapFraction: 0.75, // cheapAt = 3
-		LowFraction:   0.25,
-		DwellEpochs:   1,
-	}
+	cfg.QueueDepth = 4 // truncated tier from depth 2, cheap at 4
+	cfg.Brownout = BrownoutConfig{Enabled: true}
 	cfg.SolverChaos = &faults.SolverChaos{Seed: 3, DelayProb: 1, Delay: 40 * time.Millisecond}
 	cfg.Portfolio = &solver.PortfolioOptions{Chains: chains, Adaptive: true}
 	srv := startServer(t, cfg)

@@ -159,9 +159,6 @@ func (c ServerConfig) Validate() error {
 	if cc.DefaultDeadline < 0 {
 		return fmt.Errorf("cran: default deadline must be non-negative, got %s", cc.DefaultDeadline)
 	}
-	if err := cc.Brownout.Validate(); err != nil {
-		return err
-	}
 	if cc.SolverChaos != nil {
 		if err := cc.SolverChaos.Validate(); err != nil {
 			return err
@@ -288,8 +285,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	// Degraded-tier solvers exist only when brownout is on, so a disabled
 	// coordinator carries zero extra state on the serving path.
 	s.tiers[tierFull] = ttsa
-	bo := cfg.Brownout.withDefaults()
-	if bo.Enabled {
+	if cfg.Brownout.Enabled {
 		// The truncated tier anneals on an eighth of the full budget, at
 		// least 500 evaluations; the cheap tier uses the baseline defaults.
 		truncCfg := ttsaCfg
@@ -308,7 +304,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	for i, pos := range s.sites {
 		s.servers[i] = scenario.Server{Pos: pos, FHz: cfg.Params.ServerFreqHz}
 	}
-	s.brownout = newBrownoutController(bo, cfg.QueueDepth)
+	s.brownout = newBrownoutController(cfg.Brownout, cfg.QueueDepth)
 	newSelector := func() *portfolio.Selector { return nil }
 	if po := cfg.Portfolio; po != nil {
 		// Chains run sequentially on the owning solver worker: the server's

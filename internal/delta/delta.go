@@ -53,7 +53,7 @@ const (
 	// ReasonAllDirty: every active user is dirty, so a repair would scope
 	// to the whole population anyway.
 	ReasonAllDirty = "all-dirty"
-	// ReasonDirtyFrac: the dirty fraction exceeded MaxDirtyFrac.
+	// ReasonDirtyFrac: more than maxDirtyFrac of the users are dirty.
 	ReasonDirtyFrac = "dirty-frac"
 	// ReasonDrift: some user accumulated DriftKm of displacement since its
 	// row was last refreshed (slow drift below the per-step threshold).
@@ -71,11 +71,6 @@ type Config struct {
 	// multiple of it, bounding how long errors from scoped repairs can
 	// compound. 0 defaults to 8.
 	FullEvery int `json:"fullEvery"`
-	// MaxDirtyFrac falls back to a full solve when more than this
-	// fraction of the active users is dirty (a repair that touches most
-	// users costs as much as a full solve and searches less). 0 defaults
-	// to 0.5.
-	MaxDirtyFrac float64 `json:"maxDirtyFrac"`
 	// DriftKm forces a full solve when any active user accumulated this
 	// much displacement since its gain rows were last refreshed, catching
 	// slow drift that stays under MoveThresholdKm every step. 0 disables
@@ -92,20 +87,24 @@ type Config struct {
 	// full solve (whose default initial temperature is the user count).
 	// 0 defaults to 0.5.
 	RepairTemp float64 `json:"repairTemp"`
-	// MaxTracked caps the per-user state the serving pipeline retains
-	// (row cache, last position, incumbent slot); the least recently seen
-	// users are evicted beyond it (State.Evict). 0 defaults to 8192. The
-	// replay never evicts (the population is fixed and bounded).
-	MaxTracked int `json:"maxTracked,omitempty"`
 }
+
+const (
+	// maxDirtyFrac falls back to a full solve when more than this fraction
+	// of the active users is dirty: a repair that touches most users costs
+	// as much as a full solve and searches less.
+	maxDirtyFrac = 0.5
+	// maxTracked caps the per-user state the serving pipeline retains (row
+	// cache, last position, incumbent slot); the least recently seen users
+	// are evicted beyond it (State.Evict). The replay never evicts: its
+	// population is fixed and bounded.
+	maxTracked = 8192
+)
 
 // WithDefaults fills zero fields with the documented defaults.
 func (c Config) WithDefaults() Config {
 	if c.FullEvery == 0 {
 		c.FullEvery = 8
-	}
-	if c.MaxDirtyFrac == 0 {
-		c.MaxDirtyFrac = 0.5
 	}
 	if c.RepairEvalsPerUser == 0 {
 		c.RepairEvalsPerUser = 400
@@ -115,9 +114,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.RepairTemp == 0 {
 		c.RepairTemp = 0.5
-	}
-	if c.MaxTracked == 0 {
-		c.MaxTracked = 8192
 	}
 	return c
 }
@@ -130,8 +126,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("delta: move threshold must be non-negative, got %g km", c.MoveThresholdKm)
 	case c.FullEvery < 1:
 		return fmt.Errorf("delta: full-solve cadence must be positive, got %d", c.FullEvery)
-	case c.MaxDirtyFrac < 0 || c.MaxDirtyFrac > 1:
-		return fmt.Errorf("delta: max dirty fraction must be in [0,1], got %g", c.MaxDirtyFrac)
 	case c.DriftKm < 0:
 		return fmt.Errorf("delta: drift gate must be non-negative, got %g km", c.DriftKm)
 	case c.RepairEvalsPerUser < 1:
@@ -140,8 +134,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("delta: repair evaluation floor must be positive, got %d", c.RepairMinEvals)
 	case c.RepairTemp <= 0:
 		return fmt.Errorf("delta: repair temperature must be positive, got %g", c.RepairTemp)
-	case c.MaxTracked < 1:
-		return fmt.Errorf("delta: tracked-user cap must be positive, got %d", c.MaxTracked)
 	}
 	return nil
 }

@@ -15,8 +15,7 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.FullEvery != 8 || c.MaxDirtyFrac != 0.5 || c.RepairEvalsPerUser != 400 ||
-		c.RepairMinEvals != 600 || c.RepairTemp != 0.5 || c.MaxTracked != 8192 {
+	if c.FullEvery != 8 || c.RepairEvalsPerUser != 400 || c.RepairMinEvals != 600 || c.RepairTemp != 0.5 {
 		t.Errorf("unexpected defaults: %+v", c)
 	}
 	if err := (Config{}).Validate(); err != nil {
@@ -88,12 +87,10 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{MoveThresholdKm: -1},
 		{FullEvery: -3},
-		{MaxDirtyFrac: 2},
 		{DriftKm: -0.1},
 		{RepairEvalsPerUser: -5},
 		{RepairMinEvals: -5},
 		{RepairTemp: -1},
-		{MaxTracked: -2},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -447,21 +444,28 @@ func TestStateIncumbent(t *testing.T) {
 	}
 }
 
-// TestStateEviction bounds the state: least-recently-seen users go first,
-// ties broken by key.
+// TestStateEviction bounds the state at maxTracked users: least recently
+// seen users go first, ties broken by key.
 func TestStateEviction(t *testing.T) {
-	st := NewState[string](Config{MaxTracked: 3})
+	st := NewState[string](Config{})
 	still := func(int) geom.Point { return geom.Point{} }
-	for _, keys := range [][]string{{"u1", "u2"}, {"u3"}, {"u0"}} {
+	last := []string{"u0"}
+	for i := 0; i < maxTracked-3; i++ {
+		last = append(last, fmt.Sprintf("v%05d", i))
+	}
+	for _, keys := range [][]string{{"u1", "u2"}, {"u3"}, last} {
 		st.Plan(0, keys, still, nil)
 	}
 	st.Evict()
-	if len(st.users) != 3 {
-		t.Fatalf("%d users left, want 3", len(st.users))
+	if len(st.users) != maxTracked {
+		t.Fatalf("%d users left, want %d", len(st.users), maxTracked)
+	}
+	if st.users["u1"] != nil {
+		t.Error("u1, the least recently seen user with the lowest key, survived")
 	}
 	for _, k := range []string{"u0", "u2", "u3"} {
 		if st.users[k] == nil {
-			t.Errorf("%s evicted; survivors %v", k, fmt.Sprint(st.users))
+			t.Errorf("%s evicted", k)
 		}
 	}
 }

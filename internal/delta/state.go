@@ -94,7 +94,7 @@ func (s *State[K]) plan(epoch int, keys []K, pos func(int) geom.Point, forced fu
 		p.Full, p.Reason = true, ReasonCadence
 	case len(p.Dirty) == len(keys):
 		p.Full, p.Reason = true, ReasonAllDirty
-	case float64(len(p.Dirty)) > s.cfg.MaxDirtyFrac*float64(len(keys)):
+	case float64(len(p.Dirty)) > maxDirtyFrac*float64(len(keys)):
 		p.Full, p.Reason = true, ReasonDirtyFrac
 	case drift:
 		p.Full, p.Reason = true, ReasonDrift
@@ -197,10 +197,10 @@ func (s *State[K]) Skip(lostIncumbent bool) {
 }
 
 // Evict drops the least recently seen users, ties broken by key, until at
-// most MaxTracked remain. Only serving evicts: the replay population is
+// most maxTracked remain. Only serving evicts: the replay population is
 // bounded, and keeping every user keeps its classification history-free.
 func (s *State[K]) Evict() {
-	excess := len(s.users) - s.cfg.MaxTracked
+	excess := len(s.users) - maxTracked
 	if excess <= 0 {
 		return
 	}

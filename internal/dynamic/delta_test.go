@@ -50,7 +50,6 @@ func TestDeltaConfigValidate(t *testing.T) {
 	}{
 		{name: "negative threshold", mutate: func(c *Config) { c.Delta.MoveThresholdKm = -1 }},
 		{name: "negative cadence", mutate: func(c *Config) { c.Delta.FullEvery = -2 }},
-		{name: "bad dirty fraction", mutate: func(c *Config) { c.Delta.MaxDirtyFrac = 1.5 }},
 		{name: "negative repair temp", mutate: func(c *Config) { c.Delta.RepairTemp = -1 }},
 	}
 	for _, tt := range tests {

@@ -1,10 +1,7 @@
 package tsajs
 
 import (
-	"errors"
-	"fmt"
 	"net/http"
-	"strings"
 
 	"github.com/tsajs/tsajs/internal/alloc"
 	"github.com/tsajs/tsajs/internal/analysis"
@@ -237,38 +234,6 @@ func NewTTSA(cfg Config) (*TTSA, error) { return core.New(cfg) }
 // bit, whatever opts.Workers is.
 func NewPortfolio(cfg Config, opts PortfolioOptions) (*Portfolio, error) {
 	return portfolio.New(cfg, opts)
-}
-
-// ParsePortfolioFlags turns the commands' -chains, -portfolio and -members
-// flags into PortfolioOptions, or nil for a single TTSA chain (chains ≤ 1).
-// The mode is "fixed" (or empty) or "adaptive", in any case. members is a
-// comma-separated roster ("ttsa,attract,cheap"), every name validated: TTSA
-// cooling and neighbourhood variants ("ttsa", "ttsa-fast", "ttsa-wide"),
-// the incumbent-attraction population member ("attract"), and the
-// zero-anneal baselines ("hjtora", "greedy", "cheap"); empty keeps the
-// homogeneous-TTSA default. The adaptive mode and a roster need chains > 1.
-func ParsePortfolioFlags(chains int, mode, members string) (*PortfolioOptions, error) {
-	var adaptive bool
-	switch strings.ToLower(mode) {
-	case "", "fixed":
-	case "adaptive":
-		if chains <= 1 {
-			return nil, errors.New("-portfolio adaptive requires -chains greater than 1")
-		}
-		adaptive = true
-	default:
-		return nil, fmt.Errorf("unknown -portfolio mode %q (want fixed or adaptive)", mode)
-	}
-	roster, err := portfolio.ParseMembers(members)
-	switch {
-	case err != nil:
-		return nil, err
-	case chains > 1:
-		return &PortfolioOptions{Chains: chains, Members: roster, Adaptive: adaptive}, nil
-	case roster != nil:
-		return nil, errors.New("-members requires -chains greater than 1")
-	}
-	return nil, nil
 }
 
 // Baseline schedulers from the paper's evaluation.

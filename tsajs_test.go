@@ -199,41 +199,3 @@ func TestHeterogeneousUsersViaFinalize(t *testing.T) {
 		t.Error("Finalize accepted inconsistent betas")
 	}
 }
-
-// TestParsePortfolioFlags covers the one parser behind every command's
-// -chains, -portfolio and -members flags.
-func TestParsePortfolioFlags(t *testing.T) {
-	for _, tc := range []struct {
-		chains        int
-		mode, members string
-		want          *tsajs.PortfolioOptions
-	}{
-		{chains: 0, mode: "fixed"},
-		{chains: 1, mode: ""},
-		{chains: 3, mode: "fixed", want: &tsajs.PortfolioOptions{Chains: 3}},
-		{chains: 3, mode: "Adaptive", want: &tsajs.PortfolioOptions{Chains: 3, Adaptive: true}},
-		{chains: 2, mode: "fixed", members: "ttsa,cheap", want: &tsajs.PortfolioOptions{Chains: 2, Members: []string{"ttsa", "cheap"}}},
-	} {
-		got, err := tsajs.ParsePortfolioFlags(tc.chains, tc.mode, tc.members)
-		if err != nil {
-			t.Fatalf("%+v: %v", tc, err)
-		}
-		if (got == nil) != (tc.want == nil) || got != nil &&
-			(got.Chains != tc.want.Chains || got.Adaptive != tc.want.Adaptive || len(got.Members) != len(tc.want.Members)) {
-			t.Errorf("%+v: got %+v, want %+v", tc, got, tc.want)
-		}
-	}
-	for _, bad := range []struct {
-		chains        int
-		mode, members string
-	}{
-		{chains: 1, mode: "adaptive"},
-		{chains: 0, mode: "fixed", members: "ttsa"},
-		{chains: 3, mode: "greedy"},
-		{chains: 3, mode: "fixed", members: "ttsa,nope"},
-	} {
-		if _, err := tsajs.ParsePortfolioFlags(bad.chains, bad.mode, bad.members); err == nil {
-			t.Errorf("%+v accepted", bad)
-		}
-	}
-}
