@@ -98,20 +98,30 @@ func goldenScenario(t *testing.T, users, servers, channels int, seed uint64) *sc
 // across the shapes, evaluation caps, eviction settings and evaluators the
 // code base runs: the served 27×9×3 epoch and its uncapped tail, delta
 // repairs (cold start, three targets) and warm starts around a masked
-// server. A change that claims to leave the anneal's results unchanged
-// (for example by skipping work whose outcome is already decided) must
-// leave the digest as it is. The elided-evaluation total pins where the
-// frozen tail starts, which the digest cannot see.
+// server. Each evaluator has its own digest and elided total. A change
+// that claims to leave the anneal's results unchanged (for example by
+// skipping work whose outcome is already decided) must leave the digests
+// as they are. The elided-evaluation totals pin where the frozen tail
+// starts, which the digests cannot see.
 func TestTTSAResultsGolden(t *testing.T) {
-	const want = "b7a8dd00cf4b4341"
-	const wantElided = 2489464
+	const (
+		want                  = "0ddf0666d1d09d0a"
+		wantElided            = 1244732
+		wantIncremental       = "e07ba6647d969512"
+		wantElidedIncremental = 1244732
+	)
 	shapes := [][3]int{{27, 9, 3}, {8, 3, 2}, {12, 4, 3}, {20, 2, 4}, {6, 1, 1}, {40, 9, 3}}
-	d := &goldenDigest{h: fnv.New64a()}
+	full := &goldenDigest{h: fnv.New64a()}
+	incr := &goldenDigest{h: fnv.New64a()}
 	rec := &recorder{}
 	for _, shape := range shapes {
 		for seed := uint64(1); seed <= 6; seed++ {
 			sc := goldenScenario(t, shape[0], shape[1], shape[2], seed)
 			for _, incremental := range []bool{false, true} {
+				d := full
+				if incremental {
+					d = incr
+				}
 				var incumbent *assign.Assignment
 				for _, evict := range []bool{true, false} {
 					for _, limit := range []int{0, 2500, 4000, 20000} {
@@ -181,10 +191,16 @@ func TestTTSAResultsGolden(t *testing.T) {
 			}
 		}
 	}
-	if got := fmt.Sprintf("%016x", d.h.Sum64()); got != want {
+	if got := fmt.Sprintf("%016x", full.h.Sum64()); got != want {
 		t.Errorf("TTSA results digest = %s, want %s", got, want)
 	}
-	if d.elided != wantElided {
-		t.Errorf("frozen tails elided %d evaluations, want %d", d.elided, wantElided)
+	if full.elided != wantElided {
+		t.Errorf("frozen tails elided %d evaluations, want %d", full.elided, wantElided)
+	}
+	if got := fmt.Sprintf("%016x", incr.h.Sum64()); got != wantIncremental {
+		t.Errorf("incremental-evaluator TTSA results digest = %s, want %s", got, wantIncremental)
+	}
+	if incr.elided != wantElidedIncremental {
+		t.Errorf("incremental-evaluator frozen tails elided %d evaluations, want %d", incr.elided, wantElidedIncremental)
 	}
 }
