@@ -568,28 +568,12 @@ func BenchmarkCoordinatorRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalTTSA compares the full TTSA solve with and without
-// the delta evaluator (Config.Incremental), and measures the steady-state
-// Preview/Accept path in isolation — the latter must report 0 allocs/op
-// (all scratch is owned by the Incremental and reused across calls).
+// BenchmarkIncrementalTTSA measures the U=50 TTSA solve, which prices every
+// candidate with the tracked evaluator (objective.Incremental), and the
+// steady-state Preview/Accept path in isolation — the latter must report
+// 0 allocs/op (all scratch belongs to the evaluator and is reused).
 func BenchmarkIncrementalTTSA(b *testing.B) {
-	for _, variant := range []struct {
-		name        string
-		incremental bool
-	}{
-		{name: "full", incremental: false},
-		{name: "incremental", incremental: true},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Incremental = variant.incremental
-			ts, err := core.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			solverBench(b, ts, 50)
-		})
-	}
+	b.Run("solve", func(b *testing.B) { solverBench(b, core.NewDefault(), 50) })
 	b.Run("preview", func(b *testing.B) {
 		sc := benchScenario(b, 50)
 		rng := simrand.New(5)
@@ -601,15 +585,11 @@ func BenchmarkIncrementalTTSA(b *testing.B) {
 		moves := core.NeighborhoodFor(core.DefaultConfig())
 		var undo core.Undo
 		cand := cur.Clone()
-		// Warm the reusable scratch (first Preview may size pool buffers).
-		moves.Apply(cand, rng, &undo)
-		inc.Preview(cand)
-		inc.Accept(cand)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			moves.Apply(cand, rng, &undo)
-			if inc.Preview(cand) > inc.Utility() {
+			if inc.PreviewMoved(cand, undo.Users()) > inc.Utility() {
 				inc.Accept(cand)
 			} else if err := cand.CopyFrom(cur); err != nil {
 				b.Fatal(err)

@@ -30,7 +30,6 @@ func run() error {
 	// re-scheduling every few seconds cannot run the full ladder.
 	ttsaCfg := tsajs.DefaultConfig()
 	ttsaCfg.MaxEvaluations = 600
-	ttsaCfg.Incremental = true
 
 	base := tsajs.DynamicConfig{
 		Params:       params,

@@ -84,19 +84,22 @@ func (l *LocalSearch) Schedule(sc *scenario.Scenario, rng *simrand.Source) (solv
 	if err != nil {
 		return solver.Result{}, fmt.Errorf("baseline: local search init: %w", err)
 	}
-	curJ := eval.SystemUtility(cur)
+	inc := eval.Track(cur)
+	curJ := inc.Utility()
 	evaluations := 1
 
-	// Each candidate is a move applied to cur in place; a move that fails
-	// or does not improve is reverted, so cur is never copied.
+	// Each candidate is a move applied to cur in place, priced by
+	// re-pricing the users its undo record names; a move that fails or does
+	// not improve is reverted, so cur is never copied.
 	moves := core.NeighborhoodFor(core.DefaultConfig())
 	var undo core.Undo
 	stall := 0
 	for iter := 0; iter < l.cfg.MaxIterations && stall < l.cfg.Patience; iter++ {
 		if moves.Apply(cur, rng, &undo) {
-			candJ := eval.SystemUtility(cur)
+			candJ := inc.PreviewMoved(cur, undo.Users())
 			evaluations++
 			if candJ > curJ {
+				inc.Accept(cur)
 				curJ = candJ
 				stall = 0
 				continue

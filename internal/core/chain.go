@@ -13,8 +13,8 @@ import (
 type ChainOptions struct {
 	// Evaluator is reusable objective scratch owned by the calling worker;
 	// nil (or an evaluator bound to a different scenario) allocates a fresh
-	// one. Reuse changes no arithmetic — the evaluator is stateless between
-	// solves — it only avoids the per-chain allocation.
+	// one. Reuse changes no arithmetic — each chain starts the evaluator's
+	// tracked decision over — it only avoids the per-chain allocation.
 	Evaluator *objective.Evaluator
 	// Initial warm-starts the chain from a feasible decision instead of a
 	// random one; it is cloned, never mutated.

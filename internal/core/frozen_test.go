@@ -14,9 +14,9 @@ import (
 // frozen tail: from any decision, every candidate Apply produces is one the
 // sweep priced, and none prices above the sweep's best delta — with a
 // masked server, with eviction off, and with the move set restricted to
-// repair targets — under both the full and the incremental evaluator. The
-// sweep must also leave the decision as it found it and price no more
-// candidates than sweepSize counts.
+// repair targets — priced both from scratch and by the tracked evaluator
+// the walk uses. The sweep must also leave the decision as it found it and
+// price no more candidates than sweepSize counts.
 func TestBestDeltaBoundsEveryCandidate(t *testing.T) {
 	const draws = 10000
 	for _, shape := range [][3]int{{12, 4, 3}, {8, 3, 2}, {6, 1, 1}} {
@@ -47,11 +47,13 @@ func TestBestDeltaBoundsEveryCandidate(t *testing.T) {
 					if scoped {
 						moves.targets = rng.Perm(sc.U())[:3]
 					}
+					var undo Undo
 					inc := objective.NewIncremental(sc, a)
+					tracked := func(c *assign.Assignment) float64 { return inc.PreviewMoved(c, undo.Users()) }
 					for _, ev := range []struct {
 						name  string
 						price func(*assign.Assignment) float64
-					}{{"full", eval.SystemUtility}, {"incremental", inc.Preview}} {
+					}{{"full", eval.SystemUtility}, {"tracked", tracked}} {
 						name, price := ev.name, ev.price
 						curJ := price(a)
 						before := a.Clone()
@@ -60,7 +62,6 @@ func TestBestDeltaBoundsEveryCandidate(t *testing.T) {
 							swept[c.String()] = true
 							return price(c)
 						}
-						var undo Undo
 						best, err := moves.bestDelta(a, &undo, record, curJ)
 						if err != nil {
 							t.Fatal(err)

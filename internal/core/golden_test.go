@@ -98,109 +98,89 @@ func goldenScenario(t *testing.T, users, servers, channels int, seed uint64) *sc
 // across the shapes, evaluation caps, eviction settings and evaluators the
 // code base runs: the served 27×9×3 epoch and its uncapped tail, delta
 // repairs (cold start, three targets) and warm starts around a masked
-// server. Each evaluator has its own digest and elided total. A change
-// that claims to leave the anneal's results unchanged (for example by
-// skipping work whose outcome is already decided) must leave the digests
-// as they are. The elided-evaluation totals pin where the frozen tail
-// starts, which the digests cannot see.
+// server. A change that claims to leave the anneal's results unchanged
+// (for example by skipping work whose outcome is already decided, or by
+// pricing candidates incrementally) must leave the digest as it is. The
+// elided-evaluation total pins where the frozen tail starts, which the
+// digest cannot see.
 func TestTTSAResultsGolden(t *testing.T) {
-	const (
-		want                  = "0ddf0666d1d09d0a"
-		wantElided            = 1244732
-		wantIncremental       = "e07ba6647d969512"
-		wantElidedIncremental = 1244732
-	)
+	const want = "0ddf0666d1d09d0a"
+	const wantElided = 1244732
 	shapes := [][3]int{{27, 9, 3}, {8, 3, 2}, {12, 4, 3}, {20, 2, 4}, {6, 1, 1}, {40, 9, 3}}
-	full := &goldenDigest{h: fnv.New64a()}
-	incr := &goldenDigest{h: fnv.New64a()}
+	d := &goldenDigest{h: fnv.New64a()}
 	rec := &recorder{}
 	for _, shape := range shapes {
 		for seed := uint64(1); seed <= 6; seed++ {
 			sc := goldenScenario(t, shape[0], shape[1], shape[2], seed)
-			for _, incremental := range []bool{false, true} {
-				d := full
-				if incremental {
-					d = incr
-				}
-				var incumbent *assign.Assignment
-				for _, evict := range []bool{true, false} {
-					for _, limit := range []int{0, 2500, 4000, 20000} {
-						cfg := core.DefaultConfig()
-						cfg.Incremental = incremental
-						cfg.DisableEviction = !evict
-						cfg.MaxEvaluations = limit
-						ts, err := core.New(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						rng := simrand.New(seed)
-						res, trace, err := ts.WithObserver(rec).ScheduleTrace(sc, rng)
-						if err != nil {
-							t.Fatal(err)
-						}
-						d.solve(res, lastStats(t, rec), trace, rng)
-						if evict && limit == 0 {
-							incumbent = res.Assignment
-						}
-					}
-				}
-
-				// Delta repairs from the uncapped decision: a cold anneal
-				// whose moves all start from three dirty users.
-				for _, limit := range []int{600, 4000} {
+			var incumbent *assign.Assignment
+			for _, evict := range []bool{true, false} {
+				for _, limit := range []int{0, 2500, 4000, 20000} {
 					cfg := core.DefaultConfig()
-					cfg.Incremental = incremental
-					cfg.InitialTemp = 0.5
+					cfg.DisableEviction = !evict
 					cfg.MaxEvaluations = limit
 					ts, err := core.New(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rng := simrand.New(seed + 100)
-					perm := rng.Perm(sc.U())
-					res, err := ts.WithObserver(rec).ScheduleRepair(sc, rng, incumbent, perm[:3])
+					rng := simrand.New(seed)
+					res, trace, err := ts.WithObserver(rec).ScheduleTrace(sc, rng)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d.solve(res, lastStats(t, rec), trace, rng)
+					if evict && limit == 0 {
+						incumbent = res.Assignment
+					}
+				}
+			}
+
+			// Delta repairs from the uncapped decision: a cold anneal
+			// whose moves all start from three dirty users.
+			for _, limit := range []int{600, 4000} {
+				cfg := core.DefaultConfig()
+				cfg.InitialTemp = 0.5
+				cfg.MaxEvaluations = limit
+				ts, err := core.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := simrand.New(seed + 100)
+				perm := rng.Perm(sc.U())
+				res, err := ts.WithObserver(rec).ScheduleRepair(sc, rng, incumbent, perm[:3])
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.solve(res, lastStats(t, rec), nil, rng)
+			}
+
+			// Warm start after a server failure: the uncapped decision
+			// with server 0 masked out of the capacity.
+			if sc.S() > 1 {
+				for _, limit := range []int{0, 4000} {
+					warm := incumbent.Clone()
+					if _, err := warm.MaskServer(0); err != nil {
+						t.Fatal(err)
+					}
+					cfg := core.DefaultConfig()
+					cfg.MaxEvaluations = limit
+					ts, err := core.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rng := simrand.New(seed + 200)
+					res, err := ts.WithObserver(rec).ScheduleFrom(sc, rng, warm)
 					if err != nil {
 						t.Fatal(err)
 					}
 					d.solve(res, lastStats(t, rec), nil, rng)
 				}
-
-				// Warm start after a server failure: the uncapped decision
-				// with server 0 masked out of the capacity.
-				if sc.S() > 1 {
-					for _, limit := range []int{0, 4000} {
-						warm := incumbent.Clone()
-						if _, err := warm.MaskServer(0); err != nil {
-							t.Fatal(err)
-						}
-						cfg := core.DefaultConfig()
-						cfg.Incremental = incremental
-						cfg.MaxEvaluations = limit
-						ts, err := core.New(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						rng := simrand.New(seed + 200)
-						res, err := ts.WithObserver(rec).ScheduleFrom(sc, rng, warm)
-						if err != nil {
-							t.Fatal(err)
-						}
-						d.solve(res, lastStats(t, rec), nil, rng)
-					}
-				}
 			}
 		}
 	}
-	if got := fmt.Sprintf("%016x", full.h.Sum64()); got != want {
+	if got := fmt.Sprintf("%016x", d.h.Sum64()); got != want {
 		t.Errorf("TTSA results digest = %s, want %s", got, want)
 	}
-	if full.elided != wantElided {
-		t.Errorf("frozen tails elided %d evaluations, want %d", full.elided, wantElided)
-	}
-	if got := fmt.Sprintf("%016x", incr.h.Sum64()); got != wantIncremental {
-		t.Errorf("incremental-evaluator TTSA results digest = %s, want %s", got, wantIncremental)
-	}
-	if incr.elided != wantElidedIncremental {
-		t.Errorf("incremental-evaluator frozen tails elided %d evaluations, want %d", incr.elided, wantElidedIncremental)
+	if d.elided != wantElided {
+		t.Errorf("frozen tails elided %d evaluations, want %d", d.elided, wantElided)
 	}
 }

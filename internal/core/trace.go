@@ -88,14 +88,12 @@ func (t *TTSA) runChain(sc *scenario.Scenario, rng *simrand.Source, withTrace bo
 			return solver.Result{}, nil, fmt.Errorf("core: initial solution: %w", err)
 		}
 	}
-	preview := func(cand *assign.Assignment) float64 { return eval.SystemUtility(cand) }
-	accept := func(*assign.Assignment) {}
-	if t.cfg.Incremental {
-		inc := objective.NewIncremental(sc, cur)
-		preview = inc.Preview
-		accept = inc.Accept
-	}
-	curJ := preview(cur)
+	// Every candidate is cur after one move, priced by re-pricing only the
+	// users the move's undo record names: bit for bit SystemUtility.
+	var undo Undo
+	inc := eval.Track(cur)
+	preview := func(cand *assign.Assignment) float64 { return inc.PreviewMoved(cand, undo.Users()) }
+	curJ := inc.Utility()
 	best := cur.Clone()
 	bestJ := curJ
 
@@ -109,7 +107,6 @@ func (t *TTSA) runChain(sc *scenario.Scenario, rng *simrand.Source, withTrace bo
 	maxCount := t.cfg.ThresholdFactor * float64(t.cfg.InnerIterations)
 	moves := NeighborhoodFor(t.cfg)
 	moves.targets = opts.Targets
-	var undo Undo
 	count := 0
 	evaluations := 1
 	var trace []TracePoint
@@ -180,7 +177,7 @@ func (t *TTSA) runChain(sc *scenario.Scenario, rng *simrand.Source, withTrace bo
 				tele.Rejected++
 				continue
 			}
-			accept(cur)
+			inc.Accept(cur)
 			curJ = candJ
 			swept = false // the sweep priced the previous decision
 			if curJ > bestJ {

@@ -21,10 +21,10 @@ import (
 func referenceUtility(sc *scenario.Scenario, a *assign.Assignment) float64 {
 	gain, comm := 0.0, 0.0
 	for j := 0; j < sc.N(); j++ {
-		var group []slot
+		var group []member
 		for u := 0; u < sc.U(); u++ {
 			if s, jj := a.SlotOf(u); s != assign.Local && jj == j {
-				group = append(group, slot{u: u, s: s})
+				group = append(group, member{u: u, s: s})
 			}
 		}
 		for _, g := range group {
@@ -60,8 +60,11 @@ func relClose(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Max(math.Abs(a), math.Abs(b)))
 }
 
+// sameBits reports whether two utilities are the same float64, bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // buildFlatTestScenario draws a randomized instance; numChannels > 64
-// exercises the wide-channel bitset path of Incremental.
+// exercises decisions wider than one 64-bit word of subchannels.
 func buildFlatTestScenario(t testing.TB, seed uint64, users, servers, channels int) *scenario.Scenario {
 	t.Helper()
 	p := scenario.DefaultParams()
@@ -77,17 +80,17 @@ func buildFlatTestScenario(t testing.TB, seed uint64, users, servers, channels i
 	return sc
 }
 
-// TestFlatEvaluatorMatchesReference: the flat-tensor Evaluator, the
-// Incremental delta evaluator, and the pre-refactor reference formula
-// agree to 1e-9 over randomized scenarios and decisions, including
-// N > 64 subchannels.
+// TestFlatEvaluatorMatchesReference: the flat-tensor Evaluator and the
+// pre-refactor reference formula agree to 1e-9 over randomized scenarios
+// and decisions, including N > 64 subchannels, and the tracked Incremental
+// evaluator equals the flat one bit for bit.
 func TestFlatEvaluatorMatchesReference(t *testing.T) {
 	shapes := []struct {
 		users, servers, channels int
 	}{
 		{users: 12, servers: 4, channels: 3},
 		{users: 9, servers: 3, channels: 2},
-		{users: 24, servers: 3, channels: 70}, // wide-channel bitset path
+		{users: 24, servers: 3, channels: 70}, // wider than one 64-bit word
 	}
 	for _, shape := range shapes {
 		for seed := uint64(1); seed <= 5; seed++ {
@@ -103,25 +106,30 @@ func TestFlatEvaluatorMatchesReference(t *testing.T) {
 			if got := e.SystemUtility(a); !relClose(got, want, 1e-9) {
 				t.Fatalf("shape %+v seed %d: flat evaluator %.15g, reference %.15g", shape, seed, got, want)
 			}
-			if got := inc.Utility(); !relClose(got, want, 1e-9) {
-				t.Fatalf("shape %+v seed %d: incremental %.15g, reference %.15g", shape, seed, got, want)
+			if got, full := inc.Utility(), e.SystemUtility(a); !sameBits(got, full) {
+				t.Fatalf("shape %+v seed %d: incremental %.17g, flat evaluator %.17g", shape, seed, got, full)
 			}
 			// Walk a random move sequence, previewing and (sometimes)
-			// accepting; the incremental cache must track the reference.
+			// accepting; the incremental cache must track the flat
+			// evaluator bit for bit and both the reference.
 			committed := a.Clone()
 			cand := a.Clone()
 			for step := 0; step < 40; step++ {
 				mutateAssignment(t, cand, sc, rng)
 				preview := inc.Preview(cand)
 				want := referenceUtility(sc, cand)
-				if !relClose(preview, want, 1e-9) {
-					t.Fatalf("shape %+v seed %d step %d: preview %.15g, reference %.15g", shape, seed, step, preview, want)
+				full := e.SystemUtility(cand)
+				if !sameBits(preview, full) {
+					t.Fatalf("shape %+v seed %d step %d: preview %.17g, flat evaluator %.17g", shape, seed, step, preview, full)
 				}
-				if full := e.SystemUtility(cand); !relClose(full, want, 1e-9) {
+				if !relClose(full, want, 1e-9) {
 					t.Fatalf("shape %+v seed %d step %d: flat evaluator %.15g, reference %.15g", shape, seed, step, full, want)
 				}
 				if rng.Float64() < 0.5 {
 					inc.Accept(cand)
+					if got, full := inc.Utility(), e.SystemUtility(cand); !sameBits(got, full) {
+						t.Fatalf("shape %+v seed %d step %d: accepted %.17g, flat evaluator %.17g", shape, seed, step, got, full)
+					}
 					if err := committed.CopyFrom(cand); err != nil {
 						t.Fatal(err)
 					}
@@ -193,7 +201,7 @@ func TestSINRMatchesGroupComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.groupByChannel(a)
+	e.group(a, e.byChannel, e.lam)
 	for u := 0; u < sc.U(); u++ {
 		s, j := a.SlotOf(u)
 		if s == assign.Local {
@@ -202,7 +210,7 @@ func TestSINRMatchesGroupComputation(t *testing.T) {
 			}
 			continue
 		}
-		want := e.sinrInGroup(slot{u: u, s: s}, j, e.byChannel[j])
+		want := e.sinr(j, member{u: u, s: s}, e.byChannel[j])
 		if got := e.SINR(a, u); !relClose(got, want, 1e-12) {
 			t.Fatalf("user %d: direct SINR %.15g, group SINR %.15g", u, got, want)
 		}
@@ -225,7 +233,7 @@ func TestSystemUtilityAllocFree(t *testing.T) {
 }
 
 // TestPreviewAcceptAllocFree guards the zero-allocation contract of the
-// incremental Preview/Accept path, including the N > 64 bitset branch.
+// incremental Preview/Accept path, including N > 64 subchannels.
 func TestPreviewAcceptAllocFree(t *testing.T) {
 	for _, channels := range []int{3, 70} {
 		sc := buildFlatTestScenario(t, 13, 20, 3, channels)

@@ -59,8 +59,8 @@ func buildFuzzAssignment(t *testing.T, sc *scenario.Scenario, data []byte) *assi
 
 // FuzzAssignmentUtility hardens the objective kernels: any valid
 // assignment must evaluate without panicking to a finite system utility,
-// finite per-user metrics, and a flat/incremental agreement within
-// floating-point summation tolerance. NaN or Inf escaping the evaluator
+// finite per-user metrics, and bit-identical flat and incremental
+// utilities. NaN or Inf escaping the evaluator
 // would silently corrupt every solver built on top of it.
 func FuzzAssignmentUtility(f *testing.F) {
 	sc := fuzzScenario(f)
@@ -100,8 +100,109 @@ func FuzzAssignmentUtility(f *testing.F) {
 		}
 
 		inc := NewIncremental(sc, a)
-		if diff := math.Abs(inc.Utility() - u); diff > 1e-9*math.Max(1, math.Abs(u)) {
-			t.Fatalf("incremental utility %v disagrees with flat %v", inc.Utility(), u)
+		if !sameBits(inc.Utility(), u) {
+			t.Fatalf("incremental utility %.17g differs from flat %.17g", inc.Utility(), u)
+		}
+	})
+}
+
+// FuzzTrackedEvaluator drives the tracked evaluator through fuzzed
+// sequences of Algorithm 2 moves — relocations with eviction, channel
+// moves, toggles and swaps — mixed with server masks and unmasks, accepting
+// a candidate when its op byte has the high bit set and rejecting it
+// otherwise, on a small instance and on one wider than 64 subchannels.
+// After every preview and every accept the utility must equal
+// SystemUtility bit for bit. Moves preview with the users they touched,
+// masks by diffing the whole decision.
+func FuzzTrackedEvaluator(f *testing.F) {
+	var scs []*scenario.Scenario
+	for _, shape := range [][3]int{{8, 3, 2}, {10, 3, 70}} {
+		p := scenario.DefaultParams()
+		p.NumUsers, p.NumServers, p.NumChannels = shape[0], shape[1], shape[2]
+		p.Seed = 17
+		sc, err := scenario.Build(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		scs = append(scs, sc)
+	}
+	f.Add([]byte{0, 0x80, 1, 3, 0x81, 2, 5, 0x82, 3, 1, 2, 4, 7})
+	f.Add([]byte{1, 0x80, 0, 140, 0x80, 1, 141, 0x84, 0, 1, 0x83, 0, 1, 0x85, 0, 0})
+	f.Add([]byte{0, 0x81, 0, 0, 0x81, 1, 0, 0x84, 2, 2, 3, 4, 5, 0x80, 6, 5})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		sc := scs[int(data[0])%len(scs)]
+		users, servers, channels := sc.U(), sc.S(), sc.N()
+		e := New(sc)
+		cur, err := assign.New(users, servers, channels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cand := cur.Clone()
+		inc := NewIncremental(sc, cur)
+		check := func(step int, what string, got float64, a *assign.Assignment) {
+			if want := e.SystemUtility(a); !sameBits(got, want) {
+				t.Fatalf("step %d %s: %.17g, SystemUtility %.17g for %v", step, what, got, want, a)
+			}
+		}
+		for i := 1; i+2 < len(data); i += 3 {
+			op, u, arg := data[i], int(data[i+1])%users, int(data[i+2])
+			moved := []int{u}
+			switch op & 0x7f % 6 {
+			case 0, 1: // relocate (0) or channel move (1), evicting the occupant
+				s, j := arg%servers, (arg/servers)%channels
+				if cs, _ := cand.SlotOf(u); op&0x7f%6 == 1 && cs != assign.Local {
+					s, j = cs, arg%channels
+				}
+				if occ := cand.Occupant(s, j); occ != assign.Local && occ != u {
+					moved = append(moved, occ)
+				}
+				_, _ = cand.Evict(u, s, j) // fails, changing nothing, on a masked server
+			case 2: // toggle
+				if !cand.IsLocal(u) {
+					cand.SetLocal(u)
+				} else if s := arg % servers; !cand.IsMasked(s) {
+					if j := cand.FreeChannel(s, arg/servers); j != assign.Local {
+						if err := cand.Offload(u, s, j); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			case 3: // swap
+				if v := arg % users; v != u {
+					cand.Swap(u, v)
+					moved = append(moved, v)
+				}
+			case 4: // server failure: evacuates its users
+				if _, err := cand.MaskServer(arg % servers); err != nil {
+					t.Fatal(err)
+				}
+				moved = nil
+			default: // recovery: frees capacity, moves nobody
+				if err := cand.UnmaskServer(arg % servers); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got float64
+			if moved == nil {
+				got = inc.Preview(cand)
+			} else {
+				got = inc.PreviewMoved(cand, moved)
+			}
+			check(i, "preview", got, cand)
+			if op&0x80 != 0 {
+				inc.Accept(cand)
+				check(i, "accept", inc.Utility(), cand)
+				err = cur.CopyFrom(cand)
+			} else {
+				err = cand.CopyFrom(cur)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

@@ -1,271 +1,248 @@
 package objective
 
 import (
-	"math"
-	"math/bits"
-
 	"github.com/tsajs/tsajs/internal/assign"
 	"github.com/tsajs/tsajs/internal/scenario"
 )
 
-// Incremental evaluates single-move neighbours of a tracked decision in
-// time proportional to the *touched* subchannels rather than the whole
-// network. It caches, for the tracked decision:
+// Incremental prices neighbours of a tracked decision bit for bit as
+// Evaluator.SystemUtility would, re-pricing only what a move changes. For
+// the tracked decision it caches:
 //
-//   - the member list and communication cost Γ_j of every subchannel,
-//   - every server's Σ√η (hence Λ in O(1) updates),
-//   - the constant gain term of Eq. (24).
+//   - every offloaded user's Γ term,
+//   - every subchannel's member list, in user order,
+//   - every server's Λ term.
 //
-// A candidate differing in the slots of a few users (every Algorithm 2
-// move touches at most three) re-prices only the subchannels those users
-// left or joined — the expensive part of the objective, since each member
-// costs a log — while everything else comes from the cache.
+// A user's Γ term depends only on its own slot and on which users share its
+// subchannel, so a candidate that moves a few users (every Algorithm 2 move
+// touches at most three) re-prices every member of a subchannel whose
+// membership changed, only the moved users on a subchannel whose membership
+// did not, and the Λ term of every server whose user set changed. The
+// utility is then summed by the same code and in the same (subchannel,
+// user) and server order as SystemUtility, so no bit can differ.
 //
-// Usage: Preview(cand) returns the candidate's utility; Accept(cand)
-// commits the previewed candidate as the new tracked decision. Preview is
-// pure: rejecting a candidate requires no cleanup. The arithmetic is
-// identical to Evaluator.SystemUtility up to floating-point summation
-// order. All scratch (the per-server delta vector, the dirty-channel
-// bitset, and the pending member lists) is owned by the Incremental and
-// reused across calls, so steady-state Preview/Accept perform zero
-// allocations at any subchannel count.
+// Usage: Preview or PreviewMoved returns a candidate's utility; Accept
+// commits the previewed candidate as the new tracked decision. A preview is
+// pure: rejecting a candidate requires no cleanup. All scratch belongs to
+// the Evaluator the Incremental lives in, so steady-state previews and
+// accepts perform zero allocations at any subchannel count.
 type Incremental struct {
-	sc       *scenario.Scenario
-	txPowers []float64
+	e *Evaluator
 
-	// Flat scenario tables (shared, read-only; see scenario.Finalize).
-	recv      []float64
-	commW     []float64
-	gainConst []float64
-	sqrtEta   []float64
-	serverF   []float64
-	noiseW    float64
-	numCh     int
-	stride    int
+	// The tracked decision: each user's slot, each subchannel's priced
+	// members and each server's Λ term, with its utility.
+	server, channel []int
+	members         [][]member
+	lam             []float64
+	utility         float64
 
-	cur      *assign.Assignment // private copy of the tracked decision
-	members  [][]slot           // per channel
-	commCost []float64          // per channel: Γ_j
-	sumSqrt  []float64          // per server: Σ√η over its users
-	gain     float64            // Σ gainConst over offloaded users
-	utility  float64
+	// The last preview: view and lamView are members and lam with the
+	// touched subchannels' lists (built in pool, in touched order) and the
+	// dirty servers' terms swapped in; changed lists the users whose slot
+	// moved. Accept commits them; the next preview discards them.
+	view    [][]member
+	lamView []float64
+	pool    [][]member
+	touched []int
+	dirty   []int
+	changed []int
+	pending float64
+	valid   bool
 
-	deltaSum []float64 // per-server Σ√η delta scratch, zeroed each Preview
-	dirty    []uint64  // dirty-channel bitset scratch, ⌈N/64⌉ words
-
-	// pending holds Preview's results for Accept. members is a pool of
-	// reusable slot buffers indexed in lockstep with channels; Accept
-	// swaps them with the committed lists so neither side re-allocates.
-	pending struct {
-		valid    bool
-		utility  float64
-		gain     float64
-		channels []int     // dirty channel ids
-		members  [][]slot  // new member lists, parallel to channels
-		costs    []float64 // new Γ_j, parallel to channels
-		servers  []int     // dirty server ids
-		sums     []float64 // new Σ√η, parallel to servers
-	}
+	diff []int // Preview's moved-user scratch
+	occ  []int // a dirty server's users
 }
 
-// NewIncremental builds the cache for decision a (copied; the caller's
-// assignment is not retained).
+// NewIncremental returns a fresh evaluator for sc tracking decision a (the
+// caller's assignment is not retained).
 func NewIncremental(sc *scenario.Scenario, a *assign.Assignment) *Incremental {
-	inc := &Incremental{
-		sc:        sc,
-		txPowers:  sc.TxPowers(),
-		recv:      sc.RecvPower(),
-		commW:     sc.CommWeights(),
-		gainConst: sc.GainConsts(),
-		sqrtEta:   sc.SqrtEtas(),
-		serverF:   sc.ServerFreqs(),
-		noiseW:    sc.NoiseW,
-		numCh:     sc.N(),
-		stride:    sc.S() * sc.N(),
-		cur:       a.Clone(),
-		members:   make([][]slot, sc.N()),
-		commCost:  make([]float64, sc.N()),
-		sumSqrt:   make([]float64, sc.S()),
-		deltaSum:  make([]float64, sc.S()),
-		dirty:     make([]uint64, (sc.N()+63)/64),
+	return New(sc).Track(a)
+}
+
+// Track makes a the tracked decision of e's Incremental and returns it
+// (a is not retained). The Incremental lives in e and uses its scratch, so
+// Track allocates nothing; the next Track on e starts it over.
+func (e *Evaluator) Track(a *assign.Assignment) *Incremental {
+	inc := &e.track
+	for u := range inc.server {
+		inc.server[u], inc.channel[u] = a.SlotOf(u)
 	}
-	for u := 0; u < sc.U(); u++ {
-		if s, j := a.SlotOf(u); s != assign.Local {
-			inc.members[j] = append(inc.members[j], slot{u: u, s: s})
-			inc.sumSqrt[s] += inc.sqrtEta[u]
-			inc.gain += inc.gainConst[u]
-		}
-	}
-	for j := range inc.members {
-		inc.commCost[j] = inc.channelCost(j, inc.members[j])
-	}
-	inc.utility = inc.gain - inc.totalComm() - inc.totalLambda()
+	e.price(a, inc.members, inc.lam)
+	copy(inc.view, inc.members)
+	copy(inc.lamView, inc.lam)
+	inc.utility = e.total(inc.members, inc.lam)
+	inc.touched, inc.dirty, inc.changed = inc.touched[:0], inc.dirty[:0], inc.changed[:0]
+	inc.valid = false
 	return inc
 }
 
 // Utility returns the tracked decision's system utility.
 func (inc *Incremental) Utility() float64 { return inc.utility }
 
-// Preview returns the system utility of cand, which must differ from the
-// tracked decision only in the slots of a bounded set of users (any
-// sequence of Algorithm 2 moves applied to a copy of the tracked decision
-// qualifies). The tracked decision is unchanged.
+// Preview returns the system utility of cand, finding the users whose slot
+// differs from the tracked decision by comparing every user.
 func (inc *Incremental) Preview(cand *assign.Assignment) float64 {
-	p := &inc.pending
-	p.valid = false
-	p.channels = p.channels[:0]
-	p.costs = p.costs[:0]
-	p.servers = p.servers[:0]
-	p.sums = p.sums[:0]
-	p.gain = inc.gain
+	inc.diff = inc.diff[:0]
+	for u := range inc.server {
+		if s, j := cand.SlotOf(u); s != inc.server[u] || j != inc.channel[u] {
+			inc.diff = append(inc.diff, u)
+		}
+	}
+	return inc.PreviewMoved(cand, inc.diff)
+}
 
-	// Diff the decisions user by user (O(U), two array reads each). Dirty
-	// channels land in the reusable bitset regardless of N — no map
-	// fallback for wide-channel scenarios.
-	for i := range inc.dirty {
-		inc.dirty[i] = 0
-	}
-	for i := range inc.deltaSum {
-		inc.deltaSum[i] = 0
-	}
-	changed := false
-	for u := 0; u < inc.sc.U(); u++ {
-		oldS, oldJ := inc.cur.SlotOf(u)
-		newS, newJ := cand.SlotOf(u)
-		if oldS == newS && oldJ == newJ {
+// PreviewMoved returns the system utility of cand, which must differ from
+// the tracked decision only in the slots of the distinct users listed in
+// moved (a listed user may also be unchanged) — such as the users an
+// Algorithm 2 move's undo record names. The tracked decision is unchanged.
+func (inc *Incremental) PreviewMoved(cand *assign.Assignment, moved []int) float64 {
+	e := inc.e
+	inc.discard()
+	for _, u := range moved {
+		from, to := inc.server[u], inc.channel[u]
+		s, j := cand.SlotOf(u)
+		if s == from && j == to {
 			continue
 		}
-		changed = true
-		if oldS != assign.Local {
-			inc.dirty[uint(oldJ)>>6] |= 1 << (uint(oldJ) & 63)
-			inc.deltaSum[oldS] -= inc.sqrtEta[u]
-			p.gain -= inc.gainConst[u]
+		inc.changed = append(inc.changed, u)
+		if from != assign.Local {
+			inc.touched = addOnce(inc.touched, to)
 		}
-		if newS != assign.Local {
-			inc.dirty[uint(newJ)>>6] |= 1 << (uint(newJ) & 63)
-			inc.deltaSum[newS] += inc.sqrtEta[u]
-			p.gain += inc.gainConst[u]
+		if s != assign.Local {
+			inc.touched = addOnce(inc.touched, j)
+		}
+		if s != from {
+			if from != assign.Local {
+				inc.dirty = addOnce(inc.dirty, from)
+			}
+			if s != assign.Local {
+				inc.dirty = addOnce(inc.dirty, s)
+			}
 		}
 	}
-	if !changed {
-		p.valid = true
-		p.utility = inc.utility
+	if len(inc.changed) == 0 {
+		inc.pending, inc.valid = inc.utility, true
 		return inc.utility
 	}
 
-	// Re-price dirty channels from the candidate's membership, in
-	// ascending channel order.
-	comm := inc.totalComm()
-	for w, word := range inc.dirty {
-		for word != 0 {
-			j := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			n := len(p.channels)
-			p.channels = append(p.channels, j)
-			if n == len(p.members) {
-				p.members = append(p.members, nil)
+	for i, j := range inc.touched {
+		// The candidate's members: the tracked ones that stayed, with the
+		// moved users that arrived inserted in user order.
+		old := inc.members[j]
+		group := inc.pool[i][:0]
+		for _, m := range old {
+			if s, c := cand.SlotOf(m.u); s == m.s && c == j {
+				group = append(group, m)
 			}
-			newMembers := inc.rebuildChannel(cand, j, p.members[n][:0])
-			p.members[n] = newMembers
-			cost := inc.channelCost(j, newMembers)
-			comm += cost - inc.commCost[j]
-			p.costs = append(p.costs, cost)
 		}
+		for _, u := range inc.changed {
+			if s, c := cand.SlotOf(u); s != assign.Local && c == j {
+				group = insertMember(group, member{u: u, s: s})
+			}
+		}
+		// A user's interference sums the other members' powers in user
+		// order, so with the same users on j only the moved ones re-price.
+		same := sameUsers(group, old)
+		for k := range group {
+			if m := &group[k]; !same || m.s != inc.server[m.u] || j != inc.channel[m.u] {
+				m.cost = e.cost(j, *m, group)
+			}
+		}
+		inc.pool[i] = group
+		inc.view[j] = group
 	}
-
-	// Update Λ for dirty servers in O(dirty).
-	lambda := inc.totalLambda()
-	for s, ds := range inc.deltaSum {
-		if ds == 0 {
-			continue
+	for _, s := range inc.dirty {
+		// Re-sum Σ√η in user order, as group does.
+		users := sortInts(cand.UsersOf(s, inc.occ[:0]))
+		sum := 0.0
+		for _, u := range users {
+			sum += e.sqrtEta[u]
 		}
-		oldSum := inc.sumSqrt[s]
-		newSum := oldSum + ds
-		if newSum < 0 {
-			newSum = 0 // guard accumulated rounding on an emptied server
-		}
-		lambda += (newSum*newSum - oldSum*oldSum) / inc.serverF[s]
-		p.servers = append(p.servers, s)
-		p.sums = append(p.sums, newSum)
+		inc.lamView[s] = e.lambda(s, sum)
 	}
-
-	p.valid = true
-	p.utility = p.gain - comm - lambda
-	return p.utility
+	inc.pending = e.total(inc.view, inc.lamView)
+	inc.valid = true
+	return inc.pending
 }
 
 // Accept commits the most recently previewed candidate as the tracked
-// decision. cand must be the assignment passed to that Preview call.
+// decision. cand must be the assignment passed to that preview; without a
+// valid preview Accept tracks cand from scratch.
 func (inc *Incremental) Accept(cand *assign.Assignment) {
-	p := &inc.pending
-	if !p.valid {
-		// No valid preview: rebuild from scratch (correct, just slower).
-		*inc = *NewIncremental(inc.sc, cand)
+	if !inc.valid {
+		inc.e.Track(cand)
 		return
 	}
-	for i, j := range p.channels {
-		// Swap rather than assign: the pending pool keeps the displaced
-		// buffer for reuse, and the committed list never aliases scratch
-		// that the next Preview would overwrite.
-		inc.members[j], p.members[i] = p.members[i], inc.members[j]
-		inc.commCost[j] = p.costs[i]
+	for i, j := range inc.touched {
+		// Swap rather than copy: the pool keeps the displaced list as the
+		// next preview's scratch.
+		inc.members[j], inc.pool[i] = inc.pool[i], inc.members[j]
 	}
-	for i, s := range p.servers {
-		inc.sumSqrt[s] = p.sums[i]
+	for _, s := range inc.dirty {
+		inc.lam[s] = inc.lamView[s]
 	}
-	inc.gain = p.gain
-	inc.utility = p.utility
-	if err := inc.cur.CopyFrom(cand); err != nil {
-		// Dimension mismatch means API misuse; rebuild defensively.
-		*inc = *NewIncremental(inc.sc, cand)
+	for _, u := range inc.changed {
+		inc.server[u], inc.channel[u] = cand.SlotOf(u)
 	}
-	p.valid = false
+	inc.utility = inc.pending
+	inc.touched, inc.dirty, inc.changed = inc.touched[:0], inc.dirty[:0], inc.changed[:0]
+	inc.valid = false
 }
 
-// rebuildChannel lists channel j's members under cand into buf (reused
-// caller scratch; may be nil on first use of a pool entry).
-func (inc *Incremental) rebuildChannel(cand *assign.Assignment, j int, buf []slot) []slot {
-	for s := 0; s < cand.Servers(); s++ {
-		if u := cand.Occupant(s, j); u != assign.Local {
-			buf = append(buf, slot{u: u, s: s})
+// discard drops the last preview, restoring the views to the tracked
+// decision.
+func (inc *Incremental) discard() {
+	for _, j := range inc.touched {
+		inc.view[j] = inc.members[j]
+	}
+	for _, s := range inc.dirty {
+		inc.lamView[s] = inc.lam[s]
+	}
+	inc.touched, inc.dirty, inc.changed = inc.touched[:0], inc.dirty[:0], inc.changed[:0]
+	inc.valid = false
+}
+
+// addOnce appends v to set unless it is already there.
+func addOnce(set []int, v int) []int {
+	for _, x := range set {
+		if x == v {
+			return set
 		}
 	}
-	return buf
+	return append(set, v)
 }
 
-// channelCost prices subchannel j: Σ (φ_u + ψ_u p_u)/log2(1+γ_us) over
-// its members, with γ per Eq. (3).
-func (inc *Incremental) channelCost(j int, group []slot) float64 {
-	cost := 0.0
-	for _, g := range group {
-		sBase := g.s*inc.numCh + j
-		interference := 0.0
-		for _, o := range group {
-			if o.u == g.u || o.s == g.s {
-				continue
-			}
-			interference += inc.recv[o.u*inc.stride+sBase]
-		}
-		sinr := inc.recv[g.u*inc.stride+sBase] / (interference + inc.noiseW)
-		cost += inc.commW[g.u] / (math.Log1p(sinr) * invLn2)
+// insertMember inserts m into group, which is sorted by user.
+func insertMember(group []member, m member) []member {
+	group = append(group, m)
+	k := len(group) - 1
+	for ; k > 0 && group[k-1].u > m.u; k-- {
+		group[k] = group[k-1]
 	}
-	return cost
+	group[k] = m
+	return group
 }
 
-func (inc *Incremental) totalComm() float64 {
-	total := 0.0
-	for _, c := range inc.commCost {
-		total += c
-	}
-	return total
-}
-
-func (inc *Incremental) totalLambda() float64 {
-	total := 0.0
-	for s, sum := range inc.sumSqrt {
-		if sum > 0 {
-			total += sum * sum / inc.serverF[s]
+// sortInts sorts a server's few users in place by insertion.
+func sortInts(v []int) []int {
+	for i := 1; i < len(v); i++ {
+		for k := i; k > 0 && v[k-1] > v[k]; k-- {
+			v[k-1], v[k] = v[k], v[k-1]
 		}
 	}
-	return total
+	return v
+}
+
+// sameUsers reports whether two user-ordered member lists hold the same
+// users.
+func sameUsers(a, b []member) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].u != b[k].u {
+			return false
+		}
+	}
+	return true
 }

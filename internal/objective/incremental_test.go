@@ -1,7 +1,6 @@
 package objective
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -12,12 +11,18 @@ import (
 
 // applyRandomMove mutates a with one random feasible move of the
 // Algorithm 2 kinds, using only assign-level operations (this package
-// cannot import internal/core).
-func applyRandomMove(a *assign.Assignment, rng *simrand.Source) {
+// cannot import internal/core), and appends the users it may have moved
+// to moved.
+func applyRandomMove(a *assign.Assignment, rng *simrand.Source, moved []int) []int {
 	u := rng.Intn(a.Users())
+	moved = append(moved, u)
 	switch rng.Intn(4) {
 	case 0: // relocate/evict
-		_, _ = a.Evict(u, rng.Intn(a.Servers()), rng.Intn(a.Channels()))
+		s, j := rng.Intn(a.Servers()), rng.Intn(a.Channels())
+		if occ := a.Occupant(s, j); occ != assign.Local && occ != u {
+			moved = append(moved, occ)
+		}
+		_, _ = a.Evict(u, s, j)
 	case 1: // toggle
 		if a.IsLocal(u) {
 			s := rng.Intn(a.Servers())
@@ -28,10 +33,15 @@ func applyRandomMove(a *assign.Assignment, rng *simrand.Source) {
 			a.SetLocal(u)
 		}
 	case 2: // swap
-		a.Swap(u, rng.Intn(a.Users()))
+		v := rng.Intn(a.Users())
+		a.Swap(u, v)
+		if v != u {
+			moved = append(moved, v)
+		}
 	default: // set local
 		a.SetLocal(u)
 	}
+	return moved
 }
 
 func incScenario(t testing.TB, users, servers, channels int, seed uint64) *scenario.Scenario {
@@ -57,18 +67,19 @@ func TestIncrementalMatchesFullOnBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		applyRandomMove(a, rng)
+		applyRandomMove(a, rng, nil)
 	}
 	full := New(sc).SystemUtility(a)
 	inc := NewIncremental(sc, a)
-	if math.Abs(inc.Utility()-full) > 1e-9*(1+math.Abs(full)) {
-		t.Errorf("initial build: incremental %.12f vs full %.12f", inc.Utility(), full)
+	if !sameBits(inc.Utility(), full) {
+		t.Errorf("initial build: incremental %.17g vs full %.17g", inc.Utility(), full)
 	}
 }
 
 // TestIncrementalEquivalenceProperty is the core oracle: across long
 // random sequences of previewed/accepted/rejected moves, the incremental
-// utility must track the full recomputation.
+// utility must equal the full recomputation bit for bit, whether the moved
+// users are named or found by diffing.
 func TestIncrementalEquivalenceProperty(t *testing.T) {
 	sc := incScenario(t, 10, 3, 2, 7)
 	e := New(sc)
@@ -84,18 +95,21 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 			if err := cand.CopyFrom(cur); err != nil {
 				return false
 			}
-			applyRandomMove(cand, rng)
+			moved := applyRandomMove(cand, rng, nil)
 			got := inc.Preview(cand)
+			if step%2 == 0 {
+				got = inc.PreviewMoved(cand, moved)
+			}
 			want := e.SystemUtility(cand)
-			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-				t.Logf("seed %d step %d: preview %.12f, full %.12f", seed, step, got, want)
+			if !sameBits(got, want) {
+				t.Logf("seed %d step %d: preview %.17g, full %.17g", seed, step, got, want)
 				return false
 			}
 			if rng.Float64() < 0.5 { // accept half the moves
 				inc.Accept(cand)
 				cur, cand = cand, cur
-				if math.Abs(inc.Utility()-want) > 1e-9*(1+math.Abs(want)) {
-					t.Logf("seed %d step %d: committed %.12f, full %.12f", seed, step, inc.Utility(), want)
+				if !sameBits(inc.Utility(), want) {
+					t.Logf("seed %d step %d: committed %.17g, full %.17g", seed, step, inc.Utility(), want)
 					return false
 				}
 			}
@@ -108,7 +122,7 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 }
 
 func TestIncrementalManyChannels(t *testing.T) {
-	// Exercise the N > 64 map fallback for dirty-channel tracking.
+	// Decisions wider than one 64-bit word of subchannels.
 	sc := incScenario(t, 20, 2, 70, 9)
 	e := New(sc)
 	rng := simrand.New(3)
@@ -122,11 +136,11 @@ func TestIncrementalManyChannels(t *testing.T) {
 		if err := cand.CopyFrom(cur); err != nil {
 			t.Fatal(err)
 		}
-		applyRandomMove(cand, rng)
+		applyRandomMove(cand, rng, nil)
 		got := inc.Preview(cand)
 		want := e.SystemUtility(cand)
-		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-			t.Fatalf("step %d: preview %.12f, full %.12f", step, got, want)
+		if !sameBits(got, want) {
+			t.Fatalf("step %d: preview %.17g, full %.17g", step, got, want)
 		}
 		inc.Accept(cand)
 		cur, cand = cand, cur
@@ -163,8 +177,8 @@ func TestIncrementalAcceptWithoutPreview(t *testing.T) {
 	}
 	inc.Accept(b) // no preview happened
 	want := New(sc).SystemUtility(b)
-	if math.Abs(inc.Utility()-want) > 1e-9*(1+math.Abs(want)) {
-		t.Errorf("rebuild fallback: %.12f vs %.12f", inc.Utility(), want)
+	if !sameBits(inc.Utility(), want) {
+		t.Errorf("rebuild fallback: %.17g vs %.17g", inc.Utility(), want)
 	}
 }
 
@@ -177,19 +191,20 @@ func BenchmarkIncrementalPreview(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < 60; i++ {
-			applyRandomMove(cur, rng)
+			applyRandomMove(cur, rng, nil)
 		}
 		inc := NewIncremental(sc, cur)
 		cand := cur.Clone()
 		full := New(sc)
+		moved := make([]int, 0, 2)
 		b.Run("incremental", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := cand.CopyFrom(cur); err != nil {
 					b.Fatal(err)
 				}
-				applyRandomMove(cand, rng)
-				_ = inc.Preview(cand)
+				moved = applyRandomMove(cand, rng, moved[:0])
+				_ = inc.PreviewMoved(cand, moved)
 			}
 		})
 		b.Run("full", func(b *testing.B) {
@@ -198,7 +213,7 @@ func BenchmarkIncrementalPreview(b *testing.B) {
 				if err := cand.CopyFrom(cur); err != nil {
 					b.Fatal(err)
 				}
-				applyRandomMove(cand, rng)
+				moved = applyRandomMove(cand, rng, moved[:0])
 				_ = full.SystemUtility(cand)
 			}
 		})

@@ -24,8 +24,9 @@ import (
 const invLn2 = 1 / math.Ln2
 
 // Evaluator computes objective values for one scenario. It holds scratch
-// buffers, so a single Evaluator must not be used from multiple goroutines
-// concurrently; create one per goroutine (New is cheap).
+// buffers and a tracked decision (see Track), so a single Evaluator must
+// not be used from multiple goroutines concurrently; create one per
+// goroutine (New is cheap).
 type Evaluator struct {
 	sc       *scenario.Scenario
 	txPowers []float64
@@ -40,18 +41,25 @@ type Evaluator struct {
 	numCh     int // N
 	stride    int // S·N, the per-user stride into recv
 
-	// byChannel[j] lists the (user, server) pairs transmitting on
-	// subchannel j; rebuilt on every evaluation.
-	byChannel [][]slot
-	// sums[s] accumulates Σ√η per server during grouping, giving Λ
-	// without a second pass over the users.
-	sums []float64
+	// byChannel[j] lists the transmitters on subchannel j in user order;
+	// lam[s] is server s's Λ term. SystemUtility rebuilds both on every
+	// call.
+	byChannel [][]member
+	lam       []float64
+
+	track Incremental
 }
 
-type slot struct{ u, s int }
+// member is one transmitter on a subchannel: user u on server s, and its
+// term (φ_u+ψ_u·p_u)/log2(1+γ_us) of Γ(X).
+type member struct {
+	u, s int
+	cost float64
+}
 
 // New returns an evaluator for sc. The scenario must be finalized.
 func New(sc *scenario.Scenario) *Evaluator {
+	users, servers, channels := sc.U(), sc.S(), sc.N()
 	e := &Evaluator{
 		sc:        sc,
 		txPowers:  sc.TxPowers(),
@@ -61,15 +69,45 @@ func New(sc *scenario.Scenario) *Evaluator {
 		sqrtEta:   sc.SqrtEtas(),
 		serverF:   sc.ServerFreqs(),
 		noiseW:    sc.NoiseW,
-		numCh:     sc.N(),
-		stride:    sc.S() * sc.N(),
-		byChannel: make([][]slot, sc.N()),
-		sums:      make([]float64, sc.S()),
+		numCh:     channels,
+		stride:    servers * channels,
 	}
-	for j := range e.byChannel {
-		// Constraint (12d) admits at most one user per (server, channel)
-		// slot, so a channel never holds more than S members.
-		e.byChannel[j] = make([]slot, 0, sc.S())
+	// Constraint (12d) admits at most one user per (server, channel) slot,
+	// so a subchannel never holds more than S members: every member list
+	// is a fixed S-capacity window of one slab, and appends never move it.
+	lists := make([][]member, 4*channels)
+	slab := make([]member, 3*channels*servers)
+	carve := func() [][]member {
+		out := lists[:channels:channels]
+		lists = lists[channels:]
+		for j := range out {
+			out[j], slab = slab[:0:servers], slab[servers:]
+		}
+		return out
+	}
+	floats := make([]float64, 3*servers)
+	ints := make([]int, 4*users+2*channels+servers)
+	cut := func(n int) []int {
+		out := ints[:n:n]
+		ints = ints[n:]
+		return out
+	}
+	e.byChannel = carve()
+	e.lam = floats[:servers:servers]
+	e.track = Incremental{
+		e:       e,
+		members: carve(),
+		pool:    carve(),
+		view:    lists[:channels:channels],
+		lam:     floats[servers : 2*servers : 2*servers],
+		lamView: floats[2*servers:],
+		server:  cut(users),
+		channel: cut(users),
+		changed: cut(users)[:0],
+		diff:    cut(users)[:0],
+		touched: cut(channels)[:0],
+		occ:     cut(channels)[:0],
+		dirty:   cut(servers)[:0],
 	}
 	return e
 }
@@ -84,36 +122,87 @@ func (e *Evaluator) Scenario() *scenario.Scenario { return e.sc }
 // with the KKT-optimal resource allocation folded in via Eq. (23). It
 // performs zero allocations.
 func (e *Evaluator) SystemUtility(a *assign.Assignment) float64 {
-	gain, gamma := e.gainAndComm(a)
-	lambda := 0.0
-	for s, sum := range e.sums {
-		if sum > 0 {
-			lambda += sum * sum / e.serverF[s]
-		}
-	}
-	return gain - gamma - lambda
+	e.price(a, e.byChannel, e.lam)
+	return e.total(e.byChannel, e.lam)
 }
 
 // CommCost computes Γ(X) = Σ_s Σ_{u∈U_s} (φ_u + ψ_u·p_u)/log2(1+γ_us),
 // the first term of Eq. (19).
 func (e *Evaluator) CommCost(a *assign.Assignment) float64 {
-	_, gamma := e.gainAndComm(a)
-	return gamma
-}
-
-// gainAndComm walks the offloaded users once, returning the constant gain
-// term Σ λ_u(β^t+β^e) and the communication cost Γ(X). As a side effect it
-// leaves Σ√η per server in e.sums for the Λ term.
-func (e *Evaluator) gainAndComm(a *assign.Assignment) (gain, comm float64) {
-	e.groupByChannel(a)
-	for j, group := range e.byChannel {
-		for _, g := range group {
-			gain += e.gainConst[g.u]
-			sinr := e.sinrInGroup(g, j, group)
-			comm += e.commW[g.u] / (math.Log1p(sinr) * invLn2)
+	e.price(a, e.byChannel, e.lam)
+	comm := 0.0
+	for _, group := range e.byChannel {
+		for _, m := range group {
+			comm += m.cost
 		}
 	}
-	return gain, comm
+	return comm
+}
+
+// price groups a's transmitters into lists by subchannel and prices each
+// one, and sets lam to the per-server Λ terms.
+func (e *Evaluator) price(a *assign.Assignment, lists [][]member, lam []float64) {
+	e.group(a, lists, lam)
+	for s, sum := range lam {
+		lam[s] = e.lambda(s, sum)
+	}
+	for j, group := range lists {
+		for k := range group {
+			group[k].cost = e.cost(j, group[k], group)
+		}
+	}
+}
+
+// group lists a's transmitters by subchannel in user order and sums each
+// server's √η_u into sums, also in user order.
+func (e *Evaluator) group(a *assign.Assignment, lists [][]member, sums []float64) {
+	for j := range lists {
+		lists[j] = lists[j][:0]
+	}
+	for s := range sums {
+		sums[s] = 0
+	}
+	// Iterate users rather than the S×N slot matrix: evaluation cost then
+	// scales with the offloaded population, not the network size — the
+	// difference dominates at the Fig. 7/8 subchannel counts.
+	for u := 0; u < a.Users(); u++ {
+		if s, j := a.SlotOf(u); s != assign.Local {
+			lists[j] = append(lists[j], member{u: u, s: s})
+			sums[s] += e.sqrtEta[u]
+		}
+	}
+}
+
+// total sums J*(X) from priced member lists and Λ terms: the gain and Γ
+// over transmitters in (subchannel, user) order, then Λ in server order.
+// Every utility this package returns is summed here, in this order, so
+// equal terms give equal bits.
+func (e *Evaluator) total(lists [][]member, lam []float64) float64 {
+	gain, comm := 0.0, 0.0
+	for _, group := range lists {
+		for _, m := range group {
+			gain += e.gainConst[m.u]
+			comm += m.cost
+		}
+	}
+	lambda := 0.0
+	for _, l := range lam {
+		lambda += l // an idle server's 0 leaves the sum's bits unchanged
+	}
+	return gain - comm - lambda
+}
+
+// lambda is server s's Λ term Σ√η²/f_s given its Σ√η, 0 when idle.
+func (e *Evaluator) lambda(s int, sum float64) float64 {
+	if sum > 0 {
+		return sum * sum / e.serverF[s]
+	}
+	return 0
+}
+
+// cost is m's term of Γ(X) on subchannel j: (φ_u+ψ_u·p_u)/log2(1+γ_us).
+func (e *Evaluator) cost(j int, m member, group []member) float64 {
+	return e.commW[m.u] / (math.Log1p(e.sinr(j, m, group)) * invLn2)
 }
 
 // SINR returns γ_us for user u on its assigned slot under decision a, or 0
@@ -139,13 +228,14 @@ func (e *Evaluator) SINR(a *assign.Assignment, u int) float64 {
 	return e.recv[u*e.stride+sBase] / (interference + e.noiseW)
 }
 
-// sinrInGroup computes Eq. (3) for one transmitter given the co-channel
-// group on subchannel j.
-func (e *Evaluator) sinrInGroup(g slot, j int, group []slot) float64 {
-	sBase := g.s*e.numCh + j
+// sinr computes Eq. (3) for transmitter m given the co-channel group on
+// subchannel j. The interference depends only on which users share the
+// subchannel (summed in group order), not on their servers.
+func (e *Evaluator) sinr(j int, m member, group []member) float64 {
+	sBase := m.s*e.numCh + j
 	interference := 0.0
 	for _, o := range group {
-		if o.u == g.u || o.s == g.s {
+		if o.u == m.u || o.s == m.s {
 			// Same user, or a user served by the same base station:
 			// intra-cell users are on orthogonal subchannels by
 			// constraint (12d), so only other-cell users interfere.
@@ -153,25 +243,7 @@ func (e *Evaluator) sinrInGroup(g slot, j int, group []slot) float64 {
 		}
 		interference += e.recv[o.u*e.stride+sBase]
 	}
-	return e.recv[g.u*e.stride+sBase] / (interference + e.noiseW)
-}
-
-func (e *Evaluator) groupByChannel(a *assign.Assignment) {
-	for j := range e.byChannel {
-		e.byChannel[j] = e.byChannel[j][:0]
-	}
-	for s := range e.sums {
-		e.sums[s] = 0
-	}
-	// Iterate users rather than the S×N slot matrix: evaluation cost then
-	// scales with the offloaded population, not the network size — the
-	// difference dominates at the Fig. 7/8 subchannel counts.
-	for u := 0; u < a.Users(); u++ {
-		if s, j := a.SlotOf(u); s != assign.Local {
-			e.byChannel[j] = append(e.byChannel[j], slot{u: u, s: s})
-			e.sums[s] += e.sqrtEta[u]
-		}
-	}
+	return e.recv[m.u*e.stride+sBase] / (interference + e.noiseW)
 }
 
 // UserMetrics is the full per-user outcome under a decision and the KKT
@@ -226,7 +298,7 @@ func (e *Evaluator) Evaluate(a *assign.Assignment) Report {
 		Users:      make([]UserMetrics, e.sc.U()),
 		Allocation: f,
 	}
-	e.groupByChannel(a)
+	e.group(a, e.byChannel, e.lam)
 	w := e.sc.SubchannelHz()
 	sumDelay, sumEnergy, sumWeighted := 0.0, 0.0, 0.0
 	for u := 0; u < e.sc.U(); u++ {
@@ -240,7 +312,7 @@ func (e *Evaluator) Evaluate(a *assign.Assignment) Report {
 		} else {
 			m.Offloaded = true
 			m.Server, m.Channel = s, j
-			m.SINR = e.sinrInGroup(slot{u: u, s: s}, j, e.byChannel[j])
+			m.SINR = e.sinr(j, member{u: u, s: s}, e.byChannel[j])
 			m.RateBps = radio.Rate(w, m.SINR)
 			m.FUsHz = f.FUs[u]
 			m.UploadS = usr.Task.DataBits / m.RateBps

@@ -202,7 +202,7 @@ func DefaultThresholds() Thresholds {
 // Regression is one detected degradation.
 type Regression struct {
 	Name     string  `json:"name"`
-	Kind     string  `json:"kind"` // "time", "allocs", or the metric unit
+	Kind     string  `json:"kind"` // "time", "allocs", "missing", or the metric unit
 	Baseline float64 `json:"baseline"`
 	Current  float64 `json:"current"`
 	// Delta is the relative change, signed so that positive is worse.
@@ -210,15 +210,29 @@ type Regression struct {
 }
 
 func (r Regression) String() string {
+	if r.Kind == KindMissing {
+		return fmt.Sprintf("%s: missing from the current run", r.Name)
+	}
 	return fmt.Sprintf("%s: %s %g -> %g (%+.1f%%)",
 		r.Name, r.Kind, r.Baseline, r.Current, 100*r.Delta)
 }
 
+// KindMissing is the Regression kind of a baseline benchmark that the
+// current run did not report: a renamed, deleted or no longer selected
+// benchmark would otherwise drop out of the gate unnoticed.
+const KindMissing = "missing"
+
 // Compare diffs current against baseline and returns the regressions, in
-// deterministic (name, kind) order. Benchmarks present in only one report
-// are skipped: the harness compares like with like.
+// deterministic (name, kind) order. Every baseline benchmark absent from
+// current is a KindMissing regression; benchmarks only current reports are
+// skipped, since they have nothing to be compared with.
 func Compare(baseline, current Report, th Thresholds) []Regression {
 	var regs []Regression
+	for _, base := range baseline.Records {
+		if _, ok := current.Find(base.Name); !ok {
+			regs = append(regs, Regression{Name: base.Name, Kind: KindMissing, Delta: 1})
+		}
+	}
 	for _, cur := range current.Records {
 		base, ok := baseline.Find(cur.Name)
 		if !ok {

@@ -142,11 +142,36 @@ func TestCompareFlagsUtilityDrop(t *testing.T) {
 	}
 }
 
+// TestCompareSkipsUnmatched: a benchmark only the current run reports has
+// no baseline to regress against.
 func TestCompareSkipsUnmatched(t *testing.T) {
 	base := Report{Records: []Record{rec("BenchmarkOld", 1, 0, nil)}}
-	cur := Report{Records: []Record{rec("BenchmarkNew", 1e9, 50, nil)}}
+	cur := Report{Records: []Record{rec("BenchmarkOld", 1, 0, nil), rec("BenchmarkNew", 1e9, 50, nil)}}
 	if regs := Compare(base, cur, DefaultThresholds()); len(regs) != 0 {
 		t.Errorf("unmatched benchmark compared: %v", regs)
+	}
+}
+
+// TestCompareFlagsMissingBenchmarks: every baseline benchmark the current
+// run lacks is flagged, once, in name order with the measured regressions.
+func TestCompareFlagsMissingBenchmarks(t *testing.T) {
+	base := Report{Records: []Record{
+		rec("BenchmarkGone", 1, 0, nil),
+		rec("BenchmarkKept", 100, 0, nil),
+		rec("BenchmarkAlsoGone/sub", 1, 0, map[string]float64{"utility": 1}),
+	}}
+	cur := Report{Records: []Record{rec("BenchmarkKept", 100, 1, nil)}}
+	regs := Compare(base, cur, DefaultThresholds())
+	var got []string
+	for _, r := range regs {
+		got = append(got, r.Name+" "+r.Kind)
+	}
+	want := []string{"BenchmarkAlsoGone/sub missing", "BenchmarkGone missing", "BenchmarkKept allocs"}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Fatalf("regressions = %v, want %v", got, want)
+	}
+	if s := regs[0].String(); s != "BenchmarkAlsoGone/sub: missing from the current run" {
+		t.Errorf("String() = %q", s)
 	}
 }
 

@@ -90,31 +90,43 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 	}
 }
 
-// TestDifferentialIncrementalEvaluator repeats the equivalence check with
-// the delta evaluator enabled, covering the second hot-path configuration.
+// TestDifferentialIncrementalEvaluator: a portfolio worker reuses one
+// evaluator, and with it the tracked decision its chains price candidates
+// against, across every chain it runs. Chains run one after another through
+// a single shared evaluator — cold, warm-started and scoped — must equal the same chains run with fresh evaluators, bit for
+// bit.
 func TestDifferentialIncrementalEvaluator(t *testing.T) {
-	cfg := testConfig()
-	cfg.Incremental = true
-	const chains = 3
-	seeds := []uint64{101, 102, 103}
-	for _, seed := range seeds {
+	ttsa, err := core.New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{101, 102, 103} {
 		sc := testScenario(t, seed)
-		var prev solver.Result
-		for i, workers := range []int{1, 8} {
-			pf, err := New(cfg, solver.PortfolioOptions{Chains: chains, Workers: workers})
+		shared := objective.New(sc)
+		incumbent, err := ttsa.Schedule(sc, simrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, opts := range []core.ChainOptions{
+			{},
+			{Initial: incumbent.Assignment},
+			{Initial: incumbent.Assignment, Targets: []int{0, 5, 7}},
+			{},
+		} {
+			fresh, err := ttsa.ScheduleChain(sc, ChainStream(simrand.New(seed), i), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := pf.Schedule(sc, simrand.New(seed))
+			opts.Evaluator = shared
+			reused, err := ttsa.ScheduleChain(sc, ChainStream(simrand.New(seed), i), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i > 0 {
-				if !res.Assignment.Equal(prev.Assignment) || res.Utility != prev.Utility {
-					t.Errorf("seed %d: incremental portfolio not schedule-independent", seed)
-				}
+			if math.Float64bits(reused.Utility) != math.Float64bits(fresh.Utility) ||
+				!reused.Assignment.Equal(fresh.Assignment) || reused.Evaluations != fresh.Evaluations {
+				t.Errorf("seed %d chain %d: reused evaluator gave %.17g (%d evals), fresh %.17g (%d evals)",
+					seed, i, reused.Utility, reused.Evaluations, fresh.Utility, fresh.Evaluations)
 			}
-			prev = res
 		}
 	}
 }
