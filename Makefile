@@ -50,6 +50,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz='^FuzzUnmarshalScenario$$' -fuzztime=5s ./internal/scenario
 	go test -run='^$$' -fuzz='^FuzzScenarioCodec$$' -fuzztime=10s ./internal/scenario
 	go test -run='^$$' -fuzz='^FuzzAssignmentUtility$$' -fuzztime=10s ./internal/objective
+	go test -run='^$$' -fuzz='^FuzzTrackedEvaluator$$' -fuzztime=10s ./internal/objective
 	go test -run='^$$' -fuzz='^FuzzHandleRequest$$' -fuzztime=5s ./internal/cran
 	go test -run='^$$' -fuzz='^FuzzWireCodec$$' -fuzztime=10s ./internal/cran
 	go test -run='^$$' -fuzz='^FuzzShardRing$$' -fuzztime=5s ./internal/shard

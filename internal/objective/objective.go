@@ -28,8 +28,7 @@ const invLn2 = 1 / math.Ln2
 // not be used from multiple goroutines concurrently; create one per
 // goroutine (New is cheap).
 type Evaluator struct {
-	sc       *scenario.Scenario
-	txPowers []float64
+	sc *scenario.Scenario
 
 	// Flat scenario tables (shared, read-only; see scenario.Finalize).
 	recv      []float64 // p_u·G_us^j at (u·S+s)·N+j
@@ -62,7 +61,6 @@ func New(sc *scenario.Scenario) *Evaluator {
 	users, servers, channels := sc.U(), sc.S(), sc.N()
 	e := &Evaluator{
 		sc:        sc,
-		txPowers:  sc.TxPowers(),
 		recv:      sc.RecvPower(),
 		commW:     sc.CommWeights(),
 		gainConst: sc.GainConsts(),
@@ -75,15 +73,12 @@ func New(sc *scenario.Scenario) *Evaluator {
 	// Constraint (12d) admits at most one user per (server, channel) slot,
 	// so a subchannel never holds more than S members: every member list
 	// is a fixed S-capacity window of one slab, and appends never move it.
+	// The lists are byChannel, the tracked members, the preview pool and
+	// the preview view (which only aliases the others).
 	lists := make([][]member, 4*channels)
 	slab := make([]member, 3*channels*servers)
-	carve := func() [][]member {
-		out := lists[:channels:channels]
-		lists = lists[channels:]
-		for j := range out {
-			out[j], slab = slab[:0:servers], slab[servers:]
-		}
-		return out
+	for j := 0; j < 3*channels; j++ {
+		lists[j] = slab[j*servers : j*servers : (j+1)*servers]
 	}
 	floats := make([]float64, 3*servers)
 	ints := make([]int, 4*users+2*channels+servers)
@@ -92,13 +87,13 @@ func New(sc *scenario.Scenario) *Evaluator {
 		ints = ints[n:]
 		return out
 	}
-	e.byChannel = carve()
+	e.byChannel = lists[:channels:channels]
 	e.lam = floats[:servers:servers]
 	e.track = Incremental{
 		e:       e,
-		members: carve(),
-		pool:    carve(),
-		view:    lists[:channels:channels],
+		members: lists[channels : 2*channels : 2*channels],
+		pool:    lists[2*channels : 3*channels : 3*channels],
+		view:    lists[3*channels:],
 		lam:     floats[servers : 2*servers : 2*servers],
 		lamView: floats[2*servers:],
 		server:  cut(users),
