@@ -60,8 +60,8 @@ func buildFuzzAssignment(t *testing.T, sc *scenario.Scenario, data []byte) *assi
 // FuzzAssignmentUtility hardens the objective kernels: any valid
 // assignment must evaluate without panicking to a finite system utility,
 // finite per-user metrics, and bit-identical flat and incremental
-// utilities. NaN or Inf escaping the evaluator
-// would silently corrupt every solver built on top of it.
+// utilities. NaN or Inf escaping the evaluator would silently corrupt
+// every solver built on top of it.
 func FuzzAssignmentUtility(f *testing.F) {
 	sc := fuzzScenario(f)
 	f.Add([]byte{})
