@@ -26,6 +26,9 @@ func (w MoveWeights) total() float64 {
 }
 
 // Config parametrizes TTSA. DefaultConfig reproduces Algorithm 1 verbatim.
+// How candidates are priced is not configurable: every candidate goes
+// through the tracked evaluator (objective.Incremental), whose prices equal
+// Evaluator.SystemUtility bit for bit.
 type Config struct {
 	// InitialTemp is the starting temperature T. Zero means "use N, the
 	// number of subchannels", as in Algorithm 1 line 3 (T ← N).
