@@ -162,12 +162,14 @@ bench-baseline:
 # Counted lines, the code-size figures ROADMAP quotes: tracked non-test Go
 # files, blank and `//` comment lines excluded — first the serving core
 # (internal/{cran,dynamic,delta}), then the shard cluster (internal/shard),
-# then the whole repo outside the servebench module.
+# then the public facade (tsajs.go), then the whole repo outside the
+# servebench module.
 .PHONY: loc
 loc:
 	@count() { cat $$(git ls-files -- "$$@" | grep '\.go$$' | grep -v '_test\.go$$') | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l; }; \
 	echo "internal/{cran,dynamic,delta}: $$(count internal/cran internal/dynamic internal/delta)"; \
 	echo "internal/shard: $$(count internal/shard)"; \
+	echo "tsajs (facade): $$(count tsajs.go)"; \
 	echo "repo-wide: $$(count . ':!servebench')"
 
 .PHONY: fmt

@@ -19,15 +19,17 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tsajs/tsajs"
 	"github.com/tsajs/tsajs/internal/alloc"
 	"github.com/tsajs/tsajs/internal/assign"
+	"github.com/tsajs/tsajs/internal/baseline"
 	"github.com/tsajs/tsajs/internal/core"
 	"github.com/tsajs/tsajs/internal/cran"
 	"github.com/tsajs/tsajs/internal/delta"
 	"github.com/tsajs/tsajs/internal/dynamic"
+	"github.com/tsajs/tsajs/internal/experiment"
 	"github.com/tsajs/tsajs/internal/geom"
 	"github.com/tsajs/tsajs/internal/objective"
+	"github.com/tsajs/tsajs/internal/obs"
 	"github.com/tsajs/tsajs/internal/portfolio"
 	"github.com/tsajs/tsajs/internal/radio"
 	"github.com/tsajs/tsajs/internal/scenario"
@@ -40,9 +42,9 @@ import (
 // the first iteration.
 func benchFigure(b *testing.B, figure string) {
 	b.Helper()
-	opts := tsajs.ExperimentOptions{Trials: 2, BaseSeed: 1, Quick: true}
+	opts := experiment.Options{Trials: 2, BaseSeed: 1, Quick: true}
 	for i := 0; i < b.N; i++ {
-		tables, err := tsajs.RunFigure(figure, opts)
+		tables, err := experiment.Run(figure, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,8 +146,8 @@ func solverBench(b *testing.B, sched solver.Scheduler, users int) {
 	b.ReportMetric(total/float64(b.N), "utility")
 }
 
-func BenchmarkSolveTSAJS_U30(b *testing.B) { solverBench(b, tsajs.NewScheduler(), 30) }
-func BenchmarkSolveTSAJS_U60(b *testing.B) { solverBench(b, tsajs.NewScheduler(), 60) }
+func BenchmarkSolveTSAJS_U30(b *testing.B) { solverBench(b, core.NewDefault(), 30) }
+func BenchmarkSolveTSAJS_U60(b *testing.B) { solverBench(b, core.NewDefault(), 60) }
 
 // BenchmarkSolveTSAJSInstrumented_U30 is the overhead gate for solver
 // instrumentation: the BenchmarkSolveTSAJS_U30 workload with the full
@@ -153,14 +155,16 @@ func BenchmarkSolveTSAJS_U60(b *testing.B) { solverBench(b, tsajs.NewScheduler()
 // the annealing loop and flushes to atomics once per solve, so ns/op and
 // the utility metric must match the uninstrumented row within noise.
 func BenchmarkSolveTSAJSInstrumented_U30(b *testing.B) {
-	reg := tsajs.NewMetricsRegistry()
-	sched := core.NewDefault().WithObserver(tsajs.NewSolverMetrics(reg))
+	reg := obs.NewRegistry()
+	sched := core.NewDefault().WithObserver(obs.NewSolverMetrics(reg))
 	solverBench(b, sched, 30)
 }
-func BenchmarkSolveHJTORA_U30(b *testing.B)      { solverBench(b, tsajs.NewHJTORA(), 30) }
-func BenchmarkSolveHJTORA_U60(b *testing.B)      { solverBench(b, tsajs.NewHJTORA(), 60) }
-func BenchmarkSolveLocalSearch_U30(b *testing.B) { solverBench(b, tsajs.NewLocalSearch(), 30) }
-func BenchmarkSolveGreedy_U30(b *testing.B)      { solverBench(b, tsajs.NewGreedy(), 30) }
+func BenchmarkSolveHJTORA_U30(b *testing.B) { solverBench(b, &baseline.HJTORA{}, 30) }
+func BenchmarkSolveHJTORA_U60(b *testing.B) { solverBench(b, &baseline.HJTORA{}, 60) }
+func BenchmarkSolveLocalSearch_U30(b *testing.B) {
+	solverBench(b, baseline.NewDefaultLocalSearch(), 30)
+}
+func BenchmarkSolveGreedy_U30(b *testing.B) { solverBench(b, &baseline.Greedy{}, 30) }
 
 // benchPortfolio runs one portfolio solve per iteration: chains restarts
 // fanned over workers (0 = GOMAXPROCS). The reported "utility" metric is

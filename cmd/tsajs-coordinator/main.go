@@ -44,8 +44,12 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/tsajs/tsajs"
 	"github.com/tsajs/tsajs/internal/cli"
+	"github.com/tsajs/tsajs/internal/cran"
+	"github.com/tsajs/tsajs/internal/geom"
+	"github.com/tsajs/tsajs/internal/obs"
+	"github.com/tsajs/tsajs/internal/scenario"
+	"github.com/tsajs/tsajs/internal/shard"
 )
 
 func main() {
@@ -84,7 +88,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	cfg.Limits = tsajs.WireLimits{ReadTimeout: *readTimeout, MaxLineBytes: *maxLine, MaxConns: *maxConns}
+	cfg.Limits = cran.Limits{ReadTimeout: *readTimeout, MaxLineBytes: *maxLine, MaxConns: *maxConns}
 
 	if *router {
 		return runRouter(cfg.Params, *listen, *shardAddrs, *ringReplicas, cfg.Limits, *metricsAddr, stdout, stop)
@@ -96,11 +100,11 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		cfg.Delta.FullEvery = *deltaEvery
 	}
 	if *shards > 0 {
-		ring, err := tsajs.NewShardRing(*shards, *ringReplicas)
+		ring, err := shard.NewRing(*shards, *ringReplicas)
 		if err != nil {
 			return err
 		}
-		cfg.Partition = &tsajs.CoordinatorPartition{
+		cfg.Partition = &cran.PartitionConfig{
 			Shards:     *shards,
 			Index:      *shardIndex,
 			Assignment: ring.Assignment(cfg.Params.NumServers),
@@ -109,8 +113,8 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		return fmt.Errorf("-shard-index needs -shards")
 	}
 
-	cfg.Metrics = tsajs.NewMetricsRegistry()
-	srv, err := tsajs.NewCoordinator(*listen, cfg)
+	cfg.Metrics = obs.NewRegistry()
+	srv, err := cran.NewServer(*listen, cfg)
 	if err != nil {
 		return err
 	}
@@ -119,14 +123,14 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		srv.Addr(), cfg.Params.NumServers, cfg.Params.NumChannels, cfg.BatchWindow)
 	if p := cfg.Partition; p != nil {
 		fmt.Fprintf(stdout, "shard %d of %d owning cells %v\n",
-			p.Index, p.Shards, tsajs.ShardOwned(p.Assignment, p.Index))
+			p.Index, p.Shards, shard.Owned(p.Assignment, p.Index))
 	}
 	if cfg.Delta != nil {
 		fmt.Fprintf(stdout, "delta-epoch serving: threshold=%.3fkm full-every=%d\n",
 			cfg.Delta.MoveThresholdKm, cfg.Delta.WithDefaults().FullEvery)
 	}
 
-	if err := serveUntilStopped(*metricsAddr, tsajs.MetricsMux(cfg.Metrics, func() any { return srv.Stats() }), stdout, stop); err != nil {
+	if err := serveUntilStopped(*metricsAddr, obs.Mux(cfg.Metrics, func() any { return srv.Stats() }), stdout, stop); err != nil {
 		return err
 	}
 	stats := srv.Stats()
@@ -200,7 +204,7 @@ func serveUntilStopped(metricsAddr string, mux http.Handler, stdout io.Writer, s
 // runRouter serves the cluster-router mode: a single endpoint, in either
 // wire codec, fanning requests out to the shard cluster at shardAddrs over
 // the binary protocol.
-func runRouter(params tsajs.Params, listen, shardAddrs string, ringReplicas int, limits tsajs.WireLimits, metricsAddr string, stdout io.Writer, stop <-chan struct{}) error {
+func runRouter(params scenario.Params, listen, shardAddrs string, ringReplicas int, limits cran.Limits, metricsAddr string, stdout io.Writer, stop <-chan struct{}) error {
 	if shardAddrs == "" {
 		return fmt.Errorf("-router needs -shard-addrs")
 	}
@@ -212,13 +216,13 @@ func runRouter(params tsajs.Params, listen, shardAddrs string, ringReplicas int,
 		}
 	}
 
-	reg := tsajs.NewMetricsRegistry()
-	rt, err := tsajs.NewShardRouter(listen, tsajs.ShardRouterConfig{
-		Client: tsajs.ShardClientConfig{
+	reg := obs.NewRegistry()
+	rt, err := shard.NewRouter(listen, shard.RouterConfig{
+		Client: shard.ClientConfig{
 			Addrs:      addrs,
-			Sites:      tsajs.CellSites(params),
+			Sites:      geom.HexLayout(params.NumServers, params.InterSiteKm),
 			Replicas:   ringReplicas,
-			Resilience: tsajs.ResilienceConfig{Protocol: tsajs.CoordinatorProtocolBinary},
+			Resilience: cran.ResilienceConfig{Protocol: cran.ProtoBinary},
 			Metrics:    reg,
 		},
 		Limits:  limits,
@@ -231,7 +235,7 @@ func runRouter(params tsajs.Params, listen, shardAddrs string, ringReplicas int,
 	fmt.Fprintf(stdout, "router listening on %s fronting %d shards (S=%d)\n",
 		rt.Addr(), len(addrs), params.NumServers)
 
-	if err := serveUntilStopped(metricsAddr, tsajs.MetricsMux(reg, nil), stdout, stop); err != nil {
+	if err := serveUntilStopped(metricsAddr, obs.Mux(reg, nil), stdout, stop); err != nil {
 		return err
 	}
 	cli := rt.Client()

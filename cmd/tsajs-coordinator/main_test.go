@@ -15,7 +15,10 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/cran"
+	"github.com/tsajs/tsajs/internal/geom"
+	"github.com/tsajs/tsajs/internal/scenario"
+	"github.com/tsajs/tsajs/internal/task"
 )
 
 func TestCoordinatorServesUntilStopped(t *testing.T) {
@@ -35,17 +38,17 @@ func TestCoordinatorServesUntilStopped(t *testing.T) {
 	// Wait for the listening banner to learn the bound address.
 	addr := waitForBanner(t, out, "listening on ")
 
-	cli, err := tsajs.DialCoordinator(addr)
+	cli, err := cran.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	resp, err := cli.Offload(ctx, tsajs.OffloadRequest{
+	resp, err := cli.Offload(ctx, cran.OffloadRequest{
 		UserID: "cli-test",
-		Pos:    tsajs.Point{X: 0.1, Y: 0.1},
-		Task:   tsajs.Task{DataBits: 1e6, WorkCycles: 2e9},
+		Pos:    geom.Point{X: 0.1, Y: 0.1},
+		Task:   task.Task{DataBits: 1e6, WorkCycles: 2e9},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,17 +101,17 @@ func TestCoordinatorIntrospectionEndpoint(t *testing.T) {
 	metricsURL := waitForBanner(t, out, "metrics on ")
 
 	// Send one request so the counters are non-trivial.
-	cli, err := tsajs.DialCoordinator(addr)
+	cli, err := cran.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := cli.Offload(ctx, tsajs.OffloadRequest{
+	if _, err := cli.Offload(ctx, cran.OffloadRequest{
 		UserID: "scrape-test",
-		Pos:    tsajs.Point{X: 0.1, Y: 0.1},
-		Task:   tsajs.Task{DataBits: 1e6, WorkCycles: 2e9},
+		Pos:    geom.Point{X: 0.1, Y: 0.1},
+		Task:   task.Task{DataBits: 1e6, WorkCycles: 2e9},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +232,7 @@ func TestCoordinatorDeltaFlag(t *testing.T) {
 		t.Error("delta mode banner missing")
 	}
 
-	cli, err := tsajs.DialCoordinator(addr)
+	cli, err := cran.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +242,10 @@ func TestCoordinatorDeltaFlag(t *testing.T) {
 	// Two sequential epochs from one barely-moving user: the first is a
 	// full solve (cadence), the second a repair with a clean tracker row.
 	for i := 0; i < 2; i++ {
-		if _, err := cli.Offload(ctx, tsajs.OffloadRequest{
+		if _, err := cli.Offload(ctx, cran.OffloadRequest{
 			UserID: "delta-cli",
-			Pos:    tsajs.Point{X: 0.1 + 0.001*float64(i), Y: 0.1},
-			Task:   tsajs.Task{DataBits: 1e6, WorkCycles: 2e9},
+			Pos:    geom.Point{X: 0.1 + 0.001*float64(i), Y: 0.1},
+			Task:   task.Task{DataBits: 1e6, WorkCycles: 2e9},
 		}); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -305,7 +308,7 @@ func TestCoordinatorShardClusterWithRouter(t *testing.T) {
 		"router listening on ")
 	defer shutdownRouter()
 
-	cli, err := tsajs.DialCoordinator(routerAddr)
+	cli, err := cran.Dial(routerAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,17 +319,12 @@ func TestCoordinatorShardClusterWithRouter(t *testing.T) {
 	// One request near each of the four cell sites: whatever the ring
 	// assignment is, both shards see traffic, and every offloaded decision
 	// names the serving cell itself.
-	sites := tsajs.CellSites(func() tsajs.Params {
-		p := tsajs.DefaultParams()
-		p.NumServers = 4
-		p.NumChannels = 2
-		return p
-	}())
+	sites := geom.HexLayout(4, scenario.DefaultParams().InterSiteKm)
 	for cell, site := range sites {
-		resp, err := cli.Offload(ctx, tsajs.OffloadRequest{
+		resp, err := cli.Offload(ctx, cran.OffloadRequest{
 			UserID: "cluster-user",
-			Pos:    tsajs.Point{X: site.X + 0.02, Y: site.Y + 0.01},
-			Task:   tsajs.Task{DataBits: 1e6, WorkCycles: 2e9},
+			Pos:    geom.Point{X: site.X + 0.02, Y: site.Y + 0.01},
+			Task:   task.Task{DataBits: 1e6, WorkCycles: 2e9},
 		})
 		if err != nil {
 			t.Fatalf("cell %d: %v", cell, err)

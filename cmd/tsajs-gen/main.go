@@ -14,7 +14,7 @@ import (
 	"io"
 	"os"
 
-	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/scenario"
 )
 
 func main() {
@@ -26,7 +26,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tsajs-gen", flag.ContinueOnError)
-	defaults := tsajs.DefaultParams()
+	defaults := scenario.DefaultParams()
 	var (
 		users    = fs.Int("users", defaults.NumUsers, "number of users U")
 		servers  = fs.Int("servers", defaults.NumServers, "number of MEC servers S")
@@ -76,7 +76,7 @@ func run(args []string, stdout io.Writer) error {
 	p.InterSiteKm = *interKm
 	p.Seed = *seed
 
-	sc, err := tsajs.Build(p)
+	sc, err := scenario.Build(p)
 	if err != nil {
 		return err
 	}

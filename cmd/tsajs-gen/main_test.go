@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/scenario"
 )
 
 func TestGenToStdout(t *testing.T) {
@@ -16,7 +16,7 @@ func TestGenToStdout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sc tsajs.Scenario
+	var sc scenario.Scenario
 	if err := json.Unmarshal([]byte(sb.String()), &sc); err != nil {
 		t.Fatalf("output is not a scenario: %v", err)
 	}
@@ -45,7 +45,7 @@ func TestGenToFileCompact(t *testing.T) {
 	if strings.Contains(string(blob), "\n  ") {
 		t.Error("compact output is indented")
 	}
-	var sc tsajs.Scenario
+	var sc scenario.Scenario
 	if err := json.Unmarshal(blob, &sc); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestGenCustomWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sc tsajs.Scenario
+	var sc scenario.Scenario
 	if err := json.Unmarshal([]byte(sb.String()), &sc); err != nil {
 		t.Fatal(err)
 	}

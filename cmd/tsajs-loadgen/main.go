@@ -42,8 +42,13 @@ import (
 	"sync"
 	"time"
 
-	"github.com/tsajs/tsajs"
 	"github.com/tsajs/tsajs/internal/cli"
+	"github.com/tsajs/tsajs/internal/cran"
+	"github.com/tsajs/tsajs/internal/faults"
+	"github.com/tsajs/tsajs/internal/geom"
+	"github.com/tsajs/tsajs/internal/obs"
+	"github.com/tsajs/tsajs/internal/shard"
+	"github.com/tsajs/tsajs/internal/task"
 )
 
 func main() {
@@ -137,9 +142,9 @@ func run(args []string, stdout io.Writer) error {
 	if *duration <= 0 {
 		return fmt.Errorf("duration must be positive, got %s", *duration)
 	}
-	if *protocol != tsajs.CoordinatorProtocolJSON && *protocol != tsajs.CoordinatorProtocolBinary {
+	if *protocol != cran.ProtoJSON && *protocol != cran.ProtoBinary {
 		return fmt.Errorf("protocol must be %q or %q, got %q",
-			tsajs.CoordinatorProtocolJSON, tsajs.CoordinatorProtocolBinary, *protocol)
+			cran.ProtoJSON, cran.ProtoBinary, *protocol)
 	}
 	if *shards > 0 && *addr != "" {
 		return fmt.Errorf("-shards drives a self-hosted cluster and cannot combine with -addr")
@@ -150,7 +155,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *chaos > 0 {
-		cfg.SolverChaos = &tsajs.SolverChaos{Seed: cfg.Seed, DelayProb: 1, Delay: *chaos}
+		cfg.SolverChaos = &faults.SolverChaos{Seed: cfg.Seed, DelayProb: 1, Delay: *chaos}
 	}
 	params := cfg.Params
 	// With -json the banner moves to stderr so stdout stays a single
@@ -167,8 +172,8 @@ func run(args []string, stdout io.Writer) error {
 		rate:     *rate,
 		// The default load orbits within the central cell: serving-path
 		// throughput without routing churn.
-		pos: func(c, i int) tsajs.Point {
-			return tsajs.Point{
+		pos: func(c, i int) geom.Point {
+			return geom.Point{
 				X: 0.4*math.Cos(float64(c)+0.1*float64(i)) + 0.1,
 				Y: 0.4 * math.Sin(float64(c)+0.1*float64(i)),
 			}
@@ -180,8 +185,8 @@ func run(args []string, stdout io.Writer) error {
 		// be a stable population taking small steps — fresh user IDs every
 		// request would leave every epoch fully dirty.
 		opts.userID = func(c, i int) string { return fmt.Sprintf("lg-%d", c) }
-		opts.pos = func(c, i int) tsajs.Point {
-			return tsajs.Point{
+		opts.pos = func(c, i int) geom.Point {
+			return geom.Point{
 				X: 0.3*math.Cos(float64(c)) + 0.0005*float64(i),
 				Y: 0.3 * math.Sin(float64(c)),
 			}
@@ -191,7 +196,7 @@ func run(args []string, stdout io.Writer) error {
 	switch {
 	case *shards > 0:
 		// Self-hosted K-shard cluster driven through shard-aware clients.
-		ring, err := tsajs.NewShardRing(*shards, *ringReplicas)
+		ring, err := shard.NewRing(*shards, *ringReplicas)
 		if err != nil {
 			return err
 		}
@@ -199,24 +204,24 @@ func run(args []string, stdout io.Writer) error {
 		addrs := make([]string, *shards)
 		for i := 0; i < *shards; i++ {
 			shardCfg := cfg
-			shardCfg.Partition = &tsajs.CoordinatorPartition{Shards: *shards, Index: i, Assignment: assignment}
-			srv, err := tsajs.NewCoordinator("127.0.0.1:0", shardCfg)
+			shardCfg.Partition = &cran.PartitionConfig{Shards: *shards, Index: i, Assignment: assignment}
+			srv, err := cran.NewServer("127.0.0.1:0", shardCfg)
 			if err != nil {
 				return err
 			}
 			defer srv.Close()
 			addrs[i] = srv.Addr().String()
 		}
-		sites := tsajs.CellSites(params)
+		sites := geom.HexLayout(params.NumServers, params.InterSiteKm)
 		// One registry for every client of the run, so the tsajs_shard_*
 		// rollup (per-shard requests, handoffs) aggregates across them.
-		reg := tsajs.NewMetricsRegistry()
+		reg := obs.NewRegistry()
 		opts.dial = func() (client, error) {
-			return tsajs.NewShardClient(tsajs.ShardClientConfig{
+			return shard.NewClient(shard.ClientConfig{
 				Addrs:      addrs,
 				Sites:      sites,
 				Assignment: assignment,
-				Resilience: tsajs.ResilienceConfig{
+				Resilience: cran.ResilienceConfig{
 					Protocol:         *protocol,
 					MaxAttempts:      1,
 					BreakerThreshold: -1,
@@ -224,7 +229,7 @@ func run(args []string, stdout io.Writer) error {
 				Metrics: reg,
 			})
 		}
-		counters, err := tsajs.NewShardClient(tsajs.ShardClientConfig{
+		counters, err := shard.NewClient(shard.ClientConfig{
 			Addrs: addrs, Sites: sites, Assignment: assignment, Metrics: reg,
 		})
 		if err != nil {
@@ -236,9 +241,9 @@ func run(args []string, stdout io.Writer) error {
 		// Each connection's user is stable and walks one site further every
 		// request, so routing keeps crossing cell — and shard — boundaries.
 		opts.userID = func(c, i int) string { return fmt.Sprintf("lg-%d", c) }
-		opts.pos = func(c, i int) tsajs.Point {
+		opts.pos = func(c, i int) geom.Point {
 			site := sites[(c+i)%len(sites)]
-			return tsajs.Point{
+			return geom.Point{
 				X: site.X + 0.1*math.Cos(float64(c)+0.1*float64(i)),
 				Y: site.Y + 0.1*math.Sin(float64(c)+0.1*float64(i)),
 			}
@@ -247,7 +252,7 @@ func run(args []string, stdout io.Writer) error {
 			*shards, addrs, params.NumServers, params.NumChannels)
 
 	case *addr == "":
-		srv, err := tsajs.NewCoordinator("127.0.0.1:0", cfg)
+		srv, err := cran.NewServer("127.0.0.1:0", cfg)
 		if err != nil {
 			return err
 		}
@@ -314,17 +319,17 @@ func run(args []string, stdout io.Writer) error {
 // client is the slice of the coordinator-client surface the generator
 // needs; both the direct cran client and the shard-aware fan-out satisfy it.
 type client interface {
-	Offload(ctx context.Context, req tsajs.OffloadRequest) (tsajs.OffloadResponse, error)
-	Health(ctx context.Context) (tsajs.CoordinatorHealth, error)
+	Offload(ctx context.Context, req cran.OffloadRequest) (cran.OffloadResponse, error)
+	Health(ctx context.Context) (cran.Health, error)
 	Close() error
 }
 
 // dialFunc adapts the direct single-coordinator dialers to the client
 // factory drive consumes.
 func dialFunc(target, protocol string) func() (client, error) {
-	dial := tsajs.DialCoordinator
-	if protocol == tsajs.CoordinatorProtocolBinary {
-		dial = tsajs.DialCoordinatorBinary
+	dial := cran.Dial
+	if protocol == cran.ProtoBinary {
+		dial = cran.DialBinary
 	}
 	return func() (client, error) { return dial(target) }
 }
@@ -337,7 +342,7 @@ type driveOpts struct {
 	conns    int
 	duration time.Duration
 	rate     float64
-	pos      func(conn, seq int) tsajs.Point
+	pos      func(conn, seq int) geom.Point
 	userID   func(conn, seq int) string
 	shards   int
 	handoffs func() uint64
@@ -395,10 +400,10 @@ func drive(opts driveOpts) (report, error) {
 					}
 					next = next.Add(interval)
 				}
-				req := tsajs.OffloadRequest{
+				req := cran.OffloadRequest{
 					UserID: opts.userID(c, i),
 					Pos:    opts.pos(c, i),
-					Task:   tsajs.Task{DataBits: 420 * 8 * 1024, WorkCycles: 1000e6},
+					Task:   task.Task{DataBits: 420 * 8 * 1024, WorkCycles: 1000e6},
 				}
 				start := time.Now()
 				resp, err := cli.Offload(ctx, req)
@@ -410,11 +415,11 @@ func drive(opts driveOpts) (report, error) {
 						stats[c].degraded++
 					}
 					stats[c].latencies = append(stats[c].latencies, elapsed)
-				case errors.Is(err, tsajs.ErrDeadlineExceeded):
+				case errors.Is(err, cran.ErrDeadlineExceeded):
 					stats[c].expired++
 					stats[c].latencies = append(stats[c].latencies, elapsed)
-				case errors.Is(err, tsajs.ErrCoordinatorQueueFull),
-					errors.Is(err, tsajs.ErrAdmissionRejected):
+				case errors.Is(err, cran.ErrQueueFull),
+					errors.Is(err, cran.ErrAdmissionRejected):
 					stats[c].rejected++
 					stats[c].latencies = append(stats[c].latencies, elapsed)
 				default:

@@ -15,7 +15,12 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/core"
+	"github.com/tsajs/tsajs/internal/cran"
+	"github.com/tsajs/tsajs/internal/faults"
+	"github.com/tsajs/tsajs/internal/geom"
+	"github.com/tsajs/tsajs/internal/scenario"
+	"github.com/tsajs/tsajs/internal/task"
 )
 
 // TestLoadgenSelfHostedRun drives a short self-hosted run end to end and
@@ -125,16 +130,16 @@ func TestLoadgenReportsWindowOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load generation run skipped in -short mode")
 	}
-	ttsaCfg := tsajs.DefaultConfig()
+	ttsaCfg := core.DefaultConfig()
 	ttsaCfg.MaxEvaluations = 200
-	srv, err := tsajs.NewCoordinator("127.0.0.1:0", tsajs.CoordinatorConfig{
-		Params:      tsajs.DefaultParams(),
+	srv, err := cran.NewServer("127.0.0.1:0", cran.ServerConfig{
+		Params:      scenario.DefaultParams(),
 		BatchWindow: 20 * time.Millisecond,
 		MaxBatch:    4,
 		Workers:     1,
 		QueueDepth:  1,
 		TTSA:        &ttsaCfg,
-		SolverChaos: &tsajs.SolverChaos{Seed: 1, DelayProb: 1, Delay: 50 * time.Millisecond},
+		SolverChaos: &faults.SolverChaos{Seed: 1, DelayProb: 1, Delay: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,9 +149,9 @@ func TestLoadgenReportsWindowOnly(t *testing.T) {
 
 	// Twelve requests at once close three 4-request epochs while the first
 	// one solves, so the third finds the 1-deep queue full.
-	clis := make([]*tsajs.CoordinatorClient, 12)
+	clis := make([]*cran.Client, 12)
 	for i := range clis {
-		if clis[i], err = tsajs.DialCoordinator(addr); err != nil {
+		if clis[i], err = cran.Dial(addr); err != nil {
 			t.Fatal(err)
 		}
 		defer clis[i].Close()
@@ -156,10 +161,10 @@ func TestLoadgenReportsWindowOnly(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cli.Offload(context.Background(), tsajs.OffloadRequest{
+			cli.Offload(context.Background(), cran.OffloadRequest{
 				UserID: fmt.Sprintf("burst-%d", i),
-				Pos:    tsajs.Point{X: 0.01 * float64(i)},
-				Task:   tsajs.Task{DataBits: 420 * 8 * 1024, WorkCycles: 1000e6},
+				Pos:    geom.Point{X: 0.01 * float64(i)},
+				Task:   task.Task{DataBits: 420 * 8 * 1024, WorkCycles: 1000e6},
 			})
 		}()
 	}

@@ -15,8 +15,13 @@ import (
 	"io"
 	"os"
 
-	"github.com/tsajs/tsajs"
 	"github.com/tsajs/tsajs/internal/cli"
+	"github.com/tsajs/tsajs/internal/core"
+	"github.com/tsajs/tsajs/internal/dynamic"
+	"github.com/tsajs/tsajs/internal/faults"
+	"github.com/tsajs/tsajs/internal/obs"
+	"github.com/tsajs/tsajs/internal/scenario"
+	"github.com/tsajs/tsajs/internal/simrand"
 )
 
 func main() {
@@ -28,7 +33,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tsajs-replay", flag.ContinueOnError)
-	defaults := tsajs.DefaultParams()
+	defaults := scenario.DefaultParams()
 	var (
 		epochs   = fs.Int("epochs", 20, "scheduling rounds to simulate")
 		epochSec = fs.Float64("epoch-seconds", 10, "wall time between rounds [s]")
@@ -44,8 +49,7 @@ func run(args []string, stdout io.Writer) error {
 		seed     = fs.Uint64("seed", 1, "simulation seed")
 		pfFlags  = cli.AddPortfolio(fs)
 
-		deltaOn      = fs.Bool("delta", false, "incremental delta-epoch solving (dirty-set tracking + scoped repair anneal)")
-		deltaThresh  = fs.Float64("delta-threshold-km", 0.05, "movement that marks a user dirty [km] (0 = every user, every epoch)")
+		deltaFlags   = cli.AddDelta(fs)
 		deltaEvery   = fs.Int("delta-full-every", 0, "force a full solve every N epochs (0 = library default)")
 		deltaDriftKm = fs.Float64("delta-drift-km", 0, "cumulative per-user drift that forces a full solve [km] (0 = default)")
 
@@ -63,11 +67,9 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var pf tsajs.PortfolioOptions
-	if opts, err := pfFlags.Options(); err != nil {
+	pf, err := pfFlags.Options()
+	if err != nil {
 		return err
-	} else if opts != nil {
-		pf = *opts
 	}
 
 	params := defaults
@@ -75,53 +77,47 @@ func run(args []string, stdout io.Writer) error {
 	params.NumServers = *servers
 	params.NumChannels = *channels
 	params.Workload.WorkCycles = *workMc * 1e6
-	ttsaCfg := tsajs.DefaultConfig()
+	ttsaCfg := core.DefaultConfig()
 	ttsaCfg.MaxEvaluations = *budget
 
-	var plan *tsajs.FaultPlan
+	var plan *faults.Plan
 	if *failProb > 0 || *coordFail > 0 {
-		var err error
-		plan, err = tsajs.GenerateFaultPlan(tsajs.FaultConfig{
+		plan, err = faults.Generate(faults.Config{
 			ServerFailProb:    *failProb,
 			ServerRecoverProb: *recoverProb,
 			CoordFailProb:     *coordFail,
 			CoordRecoverProb:  *coordRecover,
 			MinUp:             *minUp,
-		}, *servers, *epochs, tsajs.NewRand(*faultSeed))
+		}, *servers, *epochs, simrand.New(*faultSeed))
 		if err != nil {
 			return err
 		}
 	}
 
-	var deltaCfg *tsajs.DeltaConfig
-	if *deltaOn {
-		deltaCfg = &tsajs.DeltaConfig{
-			MoveThresholdKm: *deltaThresh,
-			FullEvery:       *deltaEvery,
-			DriftKm:         *deltaDriftKm,
-		}
+	deltaCfg := deltaFlags.Config()
+	if deltaCfg != nil {
+		deltaCfg.FullEvery = *deltaEvery
+		deltaCfg.DriftKm = *deltaDriftKm
 	}
 
-	var reg *tsajs.MetricsRegistry
+	var reg *obs.Registry
 	if *metricsOut != "" {
-		reg = tsajs.NewMetricsRegistry()
+		reg = obs.NewRegistry()
 	}
-	res, err := tsajs.RunDynamic(tsajs.DynamicConfig{
-		Params:            params,
-		Epochs:            *epochs,
-		EpochSeconds:      *epochSec,
-		ActiveProb:        *active,
-		SpeedKmHMin:       *speedMin,
-		SpeedKmHMax:       *speedMax,
-		WarmStart:         *warm,
-		TTSAConfig:        &ttsaCfg,
-		Seed:              *seed,
-		Metrics:           reg,
-		FaultPlan:         plan,
-		Delta:             deltaCfg,
-		Chains:            pf.Chains,
-		PortfolioMembers:  pf.Members,
-		PortfolioAdaptive: pf.Adaptive,
+	res, err := dynamic.Run(dynamic.Config{
+		Params:       params,
+		Epochs:       *epochs,
+		EpochSeconds: *epochSec,
+		ActiveProb:   *active,
+		SpeedKmHMin:  *speedMin,
+		SpeedKmHMax:  *speedMax,
+		WarmStart:    *warm,
+		TTSAConfig:   &ttsaCfg,
+		Seed:         *seed,
+		Metrics:      reg,
+		FaultPlan:    plan,
+		Delta:        deltaCfg,
+		Portfolio:    pf,
 	})
 	if err != nil {
 		return err

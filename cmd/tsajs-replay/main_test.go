@@ -1,6 +1,11 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"io"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -112,5 +117,46 @@ func TestReplayRejectsInvalid(t *testing.T) {
 	}
 	if err := run([]string{"-bogus"}, &sb); err == nil {
 		t.Error("bad flag accepted")
+	}
+}
+
+// TestSharedFlagUsage checks that -h prints the pinned help blocks of the
+// five flags replay shares with tsajs-coordinator (internal/cli):
+// -chains, -portfolio, -members, -delta and -delta-threshold-km.
+func TestSharedFlagUsage(t *testing.T) {
+	want, err := os.ReadFile("../../internal/cli/testdata/coordinator_usage.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = stderr
+	err = run([]string{"-h"}, io.Discard)
+	os.Stderr = saved
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h returned %v, want flag.ErrHelp", err)
+	}
+	help, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := regexp.MustCompile(` \(default [^)]*\)`).ReplaceAllString(string(help), "")
+	shared := map[string]bool{"chains": true, "portfolio": true, "members": true, "delta": true, "delta-threshold-km": true}
+	var blocks []string
+	for _, b := range regexp.MustCompile(`(?m)^  -`).Split(string(want), -1)[1:] {
+		if shared[strings.Fields(b)[0]] {
+			blocks = append(blocks, b)
+		}
+	}
+	if len(blocks) != len(shared) {
+		t.Fatalf("%d pinned shared flags, want %d", len(blocks), len(shared))
+	}
+	for _, b := range blocks {
+		if !strings.Contains(got, "  -"+b) {
+			t.Errorf("help lacks the pinned block:\n  -%s", b)
+		}
 	}
 }

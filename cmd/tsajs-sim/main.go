@@ -20,8 +20,10 @@ import (
 	"strings"
 	"time"
 
-	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/experiment"
 	"github.com/tsajs/tsajs/internal/perf"
+	"github.com/tsajs/tsajs/internal/report"
+	"github.com/tsajs/tsajs/internal/spec"
 )
 
 func main() {
@@ -35,7 +37,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tsajs-sim", flag.ContinueOnError)
 	var (
 		figure = fs.String("figure", "all", "experiment to run: all, "+
-			strings.Join(tsajs.Figures(), ", ")+", ablations, "+strings.Join(tsajs.Ablations(), ", "))
+			strings.Join(experiment.Figures(), ", ")+", ablations, "+strings.Join(experiment.Ablations(), ", "))
 		trials   = fs.Int("trials", 10, "independent trials per data point")
 		seed     = fs.Uint64("seed", 1, "base random seed")
 		workers  = fs.Int("workers", 0, "parallel workers (0 = NumCPU)")
@@ -60,15 +62,15 @@ func run(args []string, stdout io.Writer) error {
 		return runSpec(*specFile, stdout, *csv, *outDir)
 	}
 
-	figures := tsajs.Figures()
+	figures := experiment.Figures()
 	switch *figure {
 	case "all":
 	case "ablations":
-		figures = tsajs.Ablations()
+		figures = experiment.Ablations()
 	default:
 		figures = []string{*figure}
 	}
-	opts := tsajs.ExperimentOptions{
+	opts := experiment.Options{
 		Trials:   *trials,
 		BaseSeed: *seed,
 		Workers:  *workers,
@@ -78,12 +80,12 @@ func run(args []string, stdout io.Writer) error {
 
 	for _, fig := range figures {
 		started := time.Now()
-		var tables []tsajs.FigureTable
+		var tables []report.Table
 		var err error
 		if strings.HasPrefix(fig, "abl-") {
-			tables, err = tsajs.RunAblation(fig, opts)
+			tables, err = experiment.RunAblation(fig, opts)
 		} else {
-			tables, err = tsajs.RunFigure(fig, opts)
+			tables, err = experiment.Run(fig, opts)
 		}
 		if err != nil {
 			return err
@@ -120,7 +122,11 @@ func runSpec(path string, stdout io.Writer, csv bool, outDir string) error {
 	if err != nil {
 		return err
 	}
-	table, err := tsajs.RunSpec(blob)
+	sp, err := spec.Parse(blob)
+	if err != nil {
+		return err
+	}
+	table, err := sp.Run()
 	if err != nil {
 		return err
 	}

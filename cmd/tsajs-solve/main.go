@@ -16,9 +16,15 @@ import (
 	"os"
 	"strings"
 
-	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/baseline"
 	"github.com/tsajs/tsajs/internal/cli"
+	"github.com/tsajs/tsajs/internal/core"
+	"github.com/tsajs/tsajs/internal/objective"
 	"github.com/tsajs/tsajs/internal/perf"
+	"github.com/tsajs/tsajs/internal/portfolio"
+	"github.com/tsajs/tsajs/internal/scenario"
+	"github.com/tsajs/tsajs/internal/simrand"
+	"github.com/tsajs/tsajs/internal/solver"
 )
 
 func main() {
@@ -59,7 +65,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var sc tsajs.Scenario
+	var sc scenario.Scenario
 	if err := json.Unmarshal(blob, &sc); err != nil {
 		return err
 	}
@@ -81,24 +87,24 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return fmt.Errorf("-trace traces a single chain; it cannot be combined with -chains %d", pf.Chains)
 		}
 		pf.Workers = *workers
-		sched, err = tsajs.NewPortfolio(tsajs.DefaultConfig(), *pf)
+		sched, err = portfolio.New(core.DefaultConfig(), *pf)
 		if err != nil {
 			return err
 		}
 	}
-	var res tsajs.Result
+	var res solver.Result
 	if *trace != "" {
 		res, err = solveTraced(&sc, *scheme, *seed, *trace)
 	} else {
-		res, err = sched.Schedule(&sc, tsajs.NewRand(*seed))
+		res, err = sched.Schedule(&sc, simrand.New(*seed))
 	}
 	if err != nil {
 		return err
 	}
-	if err := tsajs.Verify(&sc, res); err != nil {
+	if err := solver.Verify(&sc, res); err != nil {
 		return err
 	}
-	rep := tsajs.Evaluate(&sc, res.Assignment)
+	rep := objective.New(&sc).Evaluate(res.Assignment)
 
 	fmt.Fprintf(stdout, "scheme:      %s\n", res.Scheme)
 	fmt.Fprintf(stdout, "utility:     %.6f\n", res.Utility)
@@ -120,48 +126,48 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 // solveTraced runs the TTSA scheduler with stage tracing and writes the
 // trace as CSV.
-func solveTraced(sc *tsajs.Scenario, scheme string, seed uint64, path string) (tsajs.Result, error) {
+func solveTraced(sc *scenario.Scenario, scheme string, seed uint64, path string) (solver.Result, error) {
 	lower := strings.ToLower(scheme)
 	if lower != "tsajs" && lower != "ttsa" {
-		return tsajs.Result{}, fmt.Errorf("-trace requires the tsajs scheme, got %q", scheme)
+		return solver.Result{}, fmt.Errorf("-trace requires the tsajs scheme, got %q", scheme)
 	}
-	ttsa, err := tsajs.NewTTSA(tsajs.DefaultConfig())
+	ttsa, err := core.New(core.DefaultConfig())
 	if err != nil {
-		return tsajs.Result{}, err
+		return solver.Result{}, err
 	}
-	res, trace, err := ttsa.ScheduleTrace(sc, tsajs.NewRand(seed))
+	res, trace, err := ttsa.ScheduleTrace(sc, simrand.New(seed))
 	if err != nil {
-		return tsajs.Result{}, err
+		return solver.Result{}, err
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return tsajs.Result{}, err
+		return solver.Result{}, err
 	}
 	defer f.Close()
 	if _, err := fmt.Fprintln(f, "stage,temp,current,best,evaluations,accelerated"); err != nil {
-		return tsajs.Result{}, err
+		return solver.Result{}, err
 	}
 	for _, pt := range trace {
 		if _, err := fmt.Fprintf(f, "%d,%g,%g,%g,%d,%v\n",
 			pt.Stage, pt.Temp, pt.Current, pt.Best, pt.Evaluations, pt.Accelerated); err != nil {
-			return tsajs.Result{}, err
+			return solver.Result{}, err
 		}
 	}
 	return res, f.Sync()
 }
 
-func schedulerFor(name string) (tsajs.Scheduler, error) {
+func schedulerFor(name string) (solver.Scheduler, error) {
 	switch strings.ToLower(name) {
 	case "tsajs", "ttsa":
-		return tsajs.NewScheduler(), nil
+		return core.NewDefault(), nil
 	case "exhaustive", "optimal":
-		return tsajs.NewExhaustive(), nil
+		return &baseline.Exhaustive{}, nil
 	case "hjtora":
-		return tsajs.NewHJTORA(), nil
+		return &baseline.HJTORA{}, nil
 	case "localsearch", "local":
-		return tsajs.NewLocalSearch(), nil
+		return baseline.NewDefaultLocalSearch(), nil
 	case "greedy":
-		return tsajs.NewGreedy(), nil
+		return &baseline.Greedy{}, nil
 	default:
 		return nil, fmt.Errorf("unknown scheme %q (want tsajs, exhaustive, hjtora, localsearch, greedy)", name)
 	}

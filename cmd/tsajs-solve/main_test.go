@@ -7,17 +7,18 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/objective"
+	"github.com/tsajs/tsajs/internal/scenario"
 )
 
 func scenarioJSON(t *testing.T) string {
 	t.Helper()
-	p := tsajs.DefaultParams()
+	p := scenario.DefaultParams()
 	p.NumUsers = 5
 	p.NumServers = 3
 	p.NumChannels = 2
 	p.Seed = 3
-	sc, err := tsajs.Build(p)
+	sc, err := scenario.Build(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestSolveFromFileWithDetail(t *testing.T) {
 	if idx < 0 {
 		t.Fatalf("no JSON detail in output:\n%s", out)
 	}
-	var rep tsajs.Report
+	var rep objective.Report
 	if err := json.Unmarshal([]byte(out[idx:]), &rep); err != nil {
 		t.Fatalf("detail not decodable: %v", err)
 	}

@@ -6,11 +6,23 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/assign"
+	"github.com/tsajs/tsajs/internal/core"
+	"github.com/tsajs/tsajs/internal/cran"
+	"github.com/tsajs/tsajs/internal/dynamic"
+	"github.com/tsajs/tsajs/internal/faults"
+	"github.com/tsajs/tsajs/internal/geom"
+	"github.com/tsajs/tsajs/internal/objective"
+	"github.com/tsajs/tsajs/internal/portfolio"
+	"github.com/tsajs/tsajs/internal/scenario"
+	"github.com/tsajs/tsajs/internal/simrand"
+	"github.com/tsajs/tsajs/internal/solver"
+	"github.com/tsajs/tsajs/internal/spec"
+	"github.com/tsajs/tsajs/internal/task"
 )
 
 func TestRunSpecPublicAPI(t *testing.T) {
-	table, err := tsajs.RunSpec([]byte(`{
+	sp, err := spec.Parse([]byte(`{
 		"title": "api sweep",
 		"sweep": "workMcycles",
 		"values": [1000, 3000],
@@ -18,6 +30,10 @@ func TestRunSpecPublicAPI(t *testing.T) {
 		"trials": 2,
 		"base": {"users": 6, "servers": 3, "channels": 2}
 	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := sp.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,19 +46,19 @@ func TestRunSpecPublicAPI(t *testing.T) {
 	if series.Points[1].Mean < series.Points[0].Mean {
 		t.Errorf("utility fell with workload: %v", series.Points)
 	}
-	if _, err := tsajs.RunSpec([]byte(`{"title":"x"}`)); err == nil {
+	if _, err := spec.Parse([]byte(`{"title":"x"}`)); err == nil {
 		t.Error("invalid spec accepted")
 	}
 }
 
 func TestRunDynamicPublicAPI(t *testing.T) {
-	p := tsajs.DefaultParams()
+	p := scenario.DefaultParams()
 	p.NumUsers = 10
 	p.NumServers = 3
 	p.NumChannels = 2
-	cfg := tsajs.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.MaxEvaluations = 800
-	res, err := tsajs.RunDynamic(tsajs.DynamicConfig{
+	res, err := dynamic.Run(dynamic.Config{
 		Params:     p,
 		Epochs:     3,
 		ActiveProb: 0.7,
@@ -59,12 +75,12 @@ func TestRunDynamicPublicAPI(t *testing.T) {
 }
 
 func TestCoordinatorPublicAPI(t *testing.T) {
-	p := tsajs.DefaultParams()
+	p := scenario.DefaultParams()
 	p.NumServers = 3
 	p.NumChannels = 2
-	cfg := tsajs.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.MaxEvaluations = 800
-	coord, err := tsajs.NewCoordinator("127.0.0.1:0", tsajs.CoordinatorConfig{
+	coord, err := cran.NewServer("127.0.0.1:0", cran.ServerConfig{
 		Params:      p,
 		BatchWindow: 10 * time.Millisecond,
 		TTSA:        &cfg,
@@ -73,17 +89,17 @@ func TestCoordinatorPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	cli, err := tsajs.DialCoordinator(coord.Addr().String())
+	cli, err := cran.Dial(coord.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	resp, err := cli.Offload(ctx, tsajs.OffloadRequest{
+	resp, err := cli.Offload(ctx, cran.OffloadRequest{
 		UserID: "api",
-		Pos:    tsajs.Point{X: 0.1},
-		Task:   tsajs.Task{DataBits: 1e6, WorkCycles: 3e9},
+		Pos:    geom.Point{X: 0.1},
+		Task:   task.Task{DataBits: 1e6, WorkCycles: 3e9},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +112,7 @@ func TestCoordinatorPublicAPI(t *testing.T) {
 func TestResiliencePublicAPI(t *testing.T) {
 	// No coordinator listening: the resilient client must still answer
 	// with a valid degraded local decision.
-	cli, err := tsajs.DialCoordinatorResilient("127.0.0.1:1", tsajs.ResilienceConfig{
+	cli, err := cran.DialResilient("127.0.0.1:1", cran.ResilienceConfig{
 		MaxAttempts: 1,
 		DialTimeout: 200 * time.Millisecond,
 	})
@@ -106,9 +122,9 @@ func TestResiliencePublicAPI(t *testing.T) {
 	defer cli.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	resp, err := cli.Offload(ctx, tsajs.OffloadRequest{
+	resp, err := cli.Offload(ctx, cran.OffloadRequest{
 		UserID: "degraded",
-		Task:   tsajs.Task{DataBits: 1e6, WorkCycles: 3e9},
+		Task:   task.Task{DataBits: 1e6, WorkCycles: 3e9},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,20 +135,20 @@ func TestResiliencePublicAPI(t *testing.T) {
 }
 
 func TestFaultPlanPublicAPI(t *testing.T) {
-	p := tsajs.DefaultParams()
+	p := scenario.DefaultParams()
 	p.NumUsers = 10
 	p.NumServers = 3
 	p.NumChannels = 2
-	cfg := tsajs.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.MaxEvaluations = 800
-	plan, err := tsajs.GenerateFaultPlan(tsajs.FaultConfig{
+	plan, err := faults.Generate(faults.Config{
 		ServerFailProb: 0.4,
 		CoordFailProb:  0.3,
-	}, p.NumServers, 6, tsajs.NewRand(21))
+	}, p.NumServers, 6, simrand.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tsajs.RunDynamic(tsajs.DynamicConfig{
+	res, err := dynamic.Run(dynamic.Config{
 		Params:     p,
 		Epochs:     6,
 		ActiveProb: 0.8,
@@ -151,31 +167,31 @@ func TestFaultPlanPublicAPI(t *testing.T) {
 
 func TestTTSAPublicTraceAndMultiStart(t *testing.T) {
 	sc := buildSmall(t)
-	cfg := tsajs.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.MaxEvaluations = 1000
-	ttsa, err := tsajs.NewTTSA(cfg)
+	ttsa, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, trace, err := ttsa.ScheduleTrace(sc, tsajs.NewRand(1))
+	res, trace, err := ttsa.ScheduleTrace(sc, simrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(trace) == 0 {
 		t.Error("no trace points")
 	}
-	warm, err := ttsa.ScheduleFrom(sc, tsajs.NewRand(2), res.Assignment)
+	warm, err := ttsa.ScheduleFrom(sc, simrand.New(2), res.Assignment)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Utility < res.Utility-1e-9 {
 		t.Errorf("warm start %.6f regressed below its seed %.6f", warm.Utility, res.Utility)
 	}
-	ms, err := tsajs.NewPortfolio(cfg, tsajs.PortfolioOptions{Chains: 3, Workers: 2})
+	ms, err := portfolio.New(cfg, solver.PortfolioOptions{Chains: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ms.Schedule(sc, tsajs.NewRand(3)); err != nil {
+	if _, err := ms.Schedule(sc, simrand.New(3)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -184,17 +200,17 @@ func TestTTSAPublicTraceAndMultiStart(t *testing.T) {
 // scenario and decision. Any unintended change to the radio model, the
 // cost terms, or the KKT allocation will move this number.
 func TestGoldenUtilityRegression(t *testing.T) {
-	p := tsajs.DefaultParams()
+	p := scenario.DefaultParams()
 	p.NumUsers = 6
 	p.NumServers = 3
 	p.NumChannels = 2
 	p.Workload.WorkCycles = 3000e6
 	p.Seed = 12345
-	sc, err := tsajs.Build(p)
+	sc, err := scenario.Build(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := tsajs.NewAssignment(sc)
+	a, err := assign.New(sc.U(), sc.S(), sc.N())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +219,7 @@ func TestGoldenUtilityRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := tsajs.SystemUtility(sc, a)
+	got := objective.New(sc).SystemUtility(a)
 	// Recorded from the validated implementation (Eq. 24 = Eq. 11 to
 	// 1e-9; TSAJS == exhaustive optimum across Fig. 3). The arbitrary
 	// forced decision offloads far users, hence the large negative value.

@@ -3,6 +3,8 @@
 //
 //   - Portfolio: -chains, -portfolio and -members, for tsajs-solve,
 //     tsajs-replay, tsajs-coordinator and tsajs-loadgen.
+//   - Delta: -delta and -delta-threshold-km, for tsajs-replay,
+//     tsajs-coordinator and tsajs-loadgen.
 //   - Coordinator: the coordinator's serving options, for
 //     tsajs-coordinator and the coordinator tsajs-loadgen hosts itself.
 //
@@ -10,7 +12,6 @@
 package cli
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"strings"
@@ -45,34 +46,54 @@ func AddPortfolio(fs *flag.FlagSet) *Portfolio {
 
 // Options returns the parsed flags as PortfolioOptions, or nil for a single
 // TTSA chain (-chains 0 or 1). The mode is "fixed" (or empty) or
-// "adaptive", in any case; every roster name is validated. The adaptive
-// mode and a roster need -chains greater than 1.
+// "adaptive", in any case; every roster name is validated, and the options
+// must pass solver.PortfolioOptions.Validate.
 func (p *Portfolio) Options() (*solver.PortfolioOptions, error) {
-	chains := *p.chains
-	if chains < 0 {
-		return nil, fmt.Errorf("-chains must be non-negative, got %d", chains)
-	}
 	var adaptive bool
 	switch strings.ToLower(*p.mode) {
 	case "", "fixed":
 	case "adaptive":
-		if chains <= 1 {
-			return nil, errors.New("-portfolio adaptive requires -chains greater than 1")
-		}
 		adaptive = true
 	default:
 		return nil, fmt.Errorf("unknown -portfolio mode %q (want fixed or adaptive)", *p.mode)
 	}
 	roster, err := portfolio.ParseMembers(*p.members)
-	switch {
-	case err != nil:
+	if err != nil {
 		return nil, err
-	case chains > 1:
-		return &solver.PortfolioOptions{Chains: chains, Members: roster, Adaptive: adaptive}, nil
-	case roster != nil:
-		return nil, errors.New("-members requires -chains greater than 1")
 	}
-	return nil, nil
+	opts := &solver.PortfolioOptions{Chains: *p.chains, Members: roster, Adaptive: adaptive}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if opts.Chains <= 1 {
+		return nil, nil
+	}
+	return opts, nil
+}
+
+// Delta holds the -delta and -delta-threshold-km flags.
+type Delta struct {
+	on        *bool
+	threshold *float64
+}
+
+// AddDelta registers -delta and -delta-threshold-km on fs.
+func AddDelta(fs *flag.FlagSet) *Delta {
+	return &Delta{
+		on: fs.Bool("delta", false,
+			"incremental delta-epoch solving: refresh only moved users' gain rows and repair-anneal around the previous epoch"),
+		threshold: fs.Float64("delta-threshold-km", 0.05,
+			"movement that marks a user dirty [km] (0 = every user, every epoch)"),
+	}
+}
+
+// Config returns the delta configuration the flags describe, or nil
+// without -delta.
+func (d *Delta) Config() *delta.Config {
+	if !*d.on {
+		return nil
+	}
+	return &delta.Config{MoveThresholdKm: *d.threshold}
 }
 
 // Coordinator holds the serving options tsajs-coordinator and the
@@ -81,9 +102,9 @@ type Coordinator struct {
 	servers, channels, batch, budget, workers, queueDepth *int
 	window, deadline                                      *time.Duration
 	seed                                                  *uint64
-	brownout, delta                                       *bool
-	deltaThreshold                                        *float64
+	brownout                                              *bool
 	portfolio                                             *Portfolio
+	delta                                                 *Delta
 }
 
 // AddCoordinator registers the shared coordinator flags on fs, with the
@@ -107,10 +128,7 @@ func AddCoordinator(fs *flag.FlagSet, window time.Duration, budget int) *Coordin
 		brownout: fs.Bool("brownout", false,
 			"degrade epoch solves under queue pressure (truncated anneal, then cheap heuristic) instead of shedding"),
 		portfolio: AddPortfolio(fs),
-		delta: fs.Bool("delta", false,
-			"incremental delta-epoch solving: refresh only moved users' gain rows and repair-anneal around the previous epoch"),
-		deltaThreshold: fs.Float64("delta-threshold-km", 0.05,
-			"movement that marks a user dirty [km] (0 = every user, every epoch)"),
+		delta:     AddDelta(fs),
 	}
 }
 
@@ -137,9 +155,7 @@ func (c *Coordinator) Config() (cran.ServerConfig, error) {
 		DefaultDeadline: *c.deadline,
 		Brownout:        cran.BrownoutConfig{Enabled: *c.brownout},
 		Portfolio:       pf,
-	}
-	if *c.delta {
-		cfg.Delta = &delta.Config{MoveThresholdKm: *c.deltaThreshold}
+		Delta:           c.delta.Config(),
 	}
 	return cfg, nil
 }

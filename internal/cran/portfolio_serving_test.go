@@ -173,3 +173,20 @@ func TestAdaptiveBrownoutPinning(t *testing.T) {
 		t.Errorf("member wins = %d, want one per full-tier epoch = %d", wins, full)
 	}
 }
+
+// TestServerConfigPortfolioValidation checks that the coordinator applies
+// the shared portfolio rule set: an adaptive selector or a member roster
+// over a single chain is rejected, as replay and the CLI flags reject it.
+func TestServerConfigPortfolioValidation(t *testing.T) {
+	for _, po := range []solver.PortfolioOptions{
+		{Chains: 1, Adaptive: true},
+		{Chains: 1, Members: []string{"ttsa", "cheap"}},
+		{Chains: -1},
+	} {
+		cfg := testServerConfig()
+		cfg.Portfolio = &po
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("portfolio %+v accepted", po)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"github.com/tsajs/tsajs/internal/core"
 	"github.com/tsajs/tsajs/internal/delta"
 	"github.com/tsajs/tsajs/internal/scenario"
+	"github.com/tsajs/tsajs/internal/solver"
 )
 
 // FuzzDeltaEpoch drives the incremental epoch path over fuzzed
@@ -49,7 +50,7 @@ func FuzzDeltaEpoch(f *testing.F) {
 			WarmStart:    mode&1 != 0,
 		}
 		if mode&2 != 0 {
-			cfg.Chains = 3
+			cfg.Portfolio = &solver.PortfolioOptions{Chains: 3}
 		}
 		res, err := Run(cfg)
 		if err != nil {

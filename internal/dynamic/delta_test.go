@@ -6,6 +6,7 @@ import (
 	"github.com/tsajs/tsajs/internal/delta"
 	"github.com/tsajs/tsajs/internal/faults"
 	"github.com/tsajs/tsajs/internal/simrand"
+	"github.com/tsajs/tsajs/internal/solver"
 )
 
 // deltaTestConfig is testConfig sized for the delta suite: more epochs
@@ -70,7 +71,7 @@ func TestDeltaConfigValidate(t *testing.T) {
 // is full by construction — must be bit-identical, with and without
 // faults, because a full epoch is a pure function of (seed, epoch,
 // trajectory). Full epochs solve as plain ones do, so the identity holds
-// for a portfolio (Chains) and for warm-started runs too.
+// for a portfolio (Portfolio) and for warm-started runs too.
 func TestDeltaFullEpochsHistoryFree(t *testing.T) {
 	base := deltaTestConfig(delta.Config{})
 	plan, err := faults.Generate(faults.Config{
@@ -85,7 +86,7 @@ func TestDeltaFullEpochsHistoryFree(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"single", func(*Config) {}},
-		{"chains", func(c *Config) { c.Chains = 3 }},
+		{"chains", func(c *Config) { c.Portfolio = &solver.PortfolioOptions{Chains: 3} }},
 		{"warm", func(c *Config) { c.WarmStart = true }},
 	}
 	for _, in := range inputs {

@@ -56,25 +56,16 @@ type Config struct {
 	// TTSAConfig configures the default scheduler when Scheduler is nil.
 	// The zero value means core.DefaultConfig.
 	TTSAConfig *core.Config
-	// Chains runs every epoch's solve as a K-chain deterministic portfolio
-	// (internal/portfolio) instead of a single TTSA chain; 0 and 1 keep
-	// the single chain. Warm starts and fault masks carry into every
-	// chain. Requires the built-in TTSA scheduler.
-	Chains int
-	// PortfolioWorkers bounds concurrently running portfolio chains
-	// (0 = GOMAXPROCS). Affects wall-clock time only, never the decisions.
-	PortfolioWorkers int
-	// PortfolioMembers names the heterogeneous member roster portfolio
-	// slots draw from (portfolio.MemberNames). Empty keeps K identical
-	// TTSA chains in fixed mode, or the portfolio package's default roster
-	// in adaptive mode. Requires Chains > 1.
-	PortfolioMembers []string
-	// PortfolioAdaptive turns on the online UCB selector: each epoch's
-	// chain budget is reallocated across the member roster from the
-	// utilities of earlier epochs. Deterministic per seed (the plan is a
-	// pure function of seed, epoch, and the preceding epochs' outcomes)
-	// but not bit-identical to fixed mode. Requires Chains > 1.
-	PortfolioAdaptive bool
+	// Portfolio, when non-nil, runs every epoch's solve as a K-chain
+	// deterministic portfolio (internal/portfolio) instead of a single TTSA
+	// chain. Warm starts and fault masks carry into every chain; Workers
+	// affects wall-clock time only, never the decisions. With Adaptive set,
+	// each epoch's chain budget is reallocated across the member roster by
+	// the online UCB selector from the utilities of earlier epochs:
+	// deterministic per seed (the plan is a pure function of seed, epoch,
+	// and the preceding epochs' outcomes) but not bit-identical to fixed
+	// mode. Requires the built-in TTSA scheduler.
+	Portfolio *solver.PortfolioOptions
 	// Seed drives the entire simulation (mobility, arrivals, channel,
 	// search).
 	Seed uint64
@@ -92,7 +83,7 @@ type Config struct {
 	// dirty users with the previous epoch's decision as incumbent, falling
 	// back to a full solve on the configured gates. A full epoch solves as
 	// it would without Delta: cold or warm-started (WarmStart), by one chain
-	// or the portfolio (Chains); a repair always anneals one TTSA chain.
+	// or the portfolio (Portfolio); a repair always anneals one TTSA chain.
 	// Requires the built-in TTSA scheduler. Every run draws row i from the
 	// keyed stream of (epoch, user), so a delta run's full epochs are
 	// bit-identical to the same epochs of the Delta == nil run, which is
@@ -135,14 +126,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dynamic: active probability must be in [0,1], got %g", c.ActiveProb)
 	case c.WarmStart && c.Scheduler != nil:
 		return errors.New("dynamic: warm start requires the built-in TTSA scheduler")
-	case c.Chains < 0:
-		return fmt.Errorf("dynamic: portfolio chains must be non-negative, got %d", c.Chains)
-	case c.Chains > 1 && c.Scheduler != nil:
+	case c.Portfolio != nil && c.Scheduler != nil:
 		return errors.New("dynamic: portfolio chains require the built-in TTSA scheduler")
-	case c.PortfolioAdaptive && c.Chains <= 1:
-		return errors.New("dynamic: the adaptive portfolio requires Chains > 1")
-	case len(c.PortfolioMembers) > 0 && c.Chains <= 1:
-		return errors.New("dynamic: portfolio members require Chains > 1")
 	case c.FaultPlan != nil && c.Scheduler != nil:
 		return errors.New("dynamic: fault plans require the built-in TTSA scheduler (server masking)")
 	case c.FaultPlan != nil && c.FaultPlan.Servers() != c.Params.NumServers:
@@ -150,6 +135,11 @@ func (c Config) Validate() error {
 			c.FaultPlan.Servers(), c.Params.NumServers)
 	case c.Delta != nil && c.Scheduler != nil:
 		return errors.New("dynamic: delta epochs require the built-in TTSA scheduler")
+	}
+	if c.Portfolio != nil {
+		if err := c.Portfolio.Validate(); err != nil {
+			return err
+		}
 	}
 	if c.Delta != nil {
 		if err := c.Delta.Validate(); err != nil {
@@ -224,7 +214,7 @@ type Result struct {
 	DeltaDirtyUsers   int `json:"deltaDirtyUsers,omitempty"`
 	// MemberTotals aggregates the adaptive portfolio's per-member chain
 	// slots, reduction wins, evaluations, and wall-clock budget across the
-	// run. Nil without PortfolioAdaptive.
+	// run. Nil without Portfolio.Adaptive.
 	MemberTotals []solver.MemberTotal `json:"memberTotals,omitempty"`
 }
 
@@ -277,13 +267,8 @@ func Run(cfg Config) (*Result, error) {
 			ttsa = ttsa.WithObserver(obs.NewSolverMetrics(cfg.Metrics))
 		}
 		sched = ttsa
-		if cfg.Chains > 1 {
-			pf, err = portfolio.Wrap(ttsa, solver.PortfolioOptions{
-				Chains:   cfg.Chains,
-				Workers:  cfg.PortfolioWorkers,
-				Members:  cfg.PortfolioMembers,
-				Adaptive: cfg.PortfolioAdaptive,
-			})
+		if cfg.Portfolio != nil {
+			pf, err = portfolio.Wrap(ttsa, *cfg.Portfolio)
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/tsajs/tsajs/internal/baseline"
 	"github.com/tsajs/tsajs/internal/faults"
+	"github.com/tsajs/tsajs/internal/solver"
 )
 
 // portfolioFaultConfig is the PR-1 outage replay with the per-epoch solve
@@ -15,7 +16,7 @@ func portfolioFaultConfig(t *testing.T) Config {
 	cfg.WarmStart = true
 	cfg.Epochs = 8
 	cfg.ActiveProb = 0.9
-	cfg.Chains = 4
+	cfg.Portfolio = &solver.PortfolioOptions{Chains: 4}
 	cfg.FaultPlan = testPlan(t, cfg, faults.Config{
 		ServerFailProb:    0.35,
 		ServerRecoverProb: 0.4,
@@ -27,12 +28,12 @@ func portfolioFaultConfig(t *testing.T) Config {
 
 func TestPortfolioChainsValidation(t *testing.T) {
 	cfg := testConfig()
-	cfg.Chains = -1
+	cfg.Portfolio = &solver.PortfolioOptions{Chains: -1}
 	if _, err := Run(cfg); err == nil {
 		t.Error("negative chain count accepted")
 	}
 	cfg = testConfig()
-	cfg.Chains = 4
+	cfg.Portfolio = &solver.PortfolioOptions{Chains: 4}
 	cfg.Scheduler = &baseline.Greedy{}
 	if _, err := Run(cfg); err == nil {
 		t.Error("portfolio chains with a custom scheduler accepted")
@@ -81,7 +82,7 @@ func TestPortfolioFaultReplayDeterministic(t *testing.T) {
 	runs := make([]*Result, 3)
 	for i, workers := range []int{0, 0, 1} {
 		cfg := portfolioFaultConfig(t)
-		cfg.PortfolioWorkers = workers
+		cfg.Portfolio.Workers = workers
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +117,7 @@ func TestPortfolioFaultReplayDeterministic(t *testing.T) {
 // flag a portfolio integration bug).
 func TestPortfolioFaultFreeReplaySane(t *testing.T) {
 	cfg := testConfig()
-	cfg.Chains = 4
+	cfg.Portfolio = &solver.PortfolioOptions{Chains: 4}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,19 +132,17 @@ func TestPortfolioFaultFreeReplaySane(t *testing.T) {
 
 func TestAdaptivePortfolioValidation(t *testing.T) {
 	cfg := testConfig()
-	cfg.PortfolioAdaptive = true
+	cfg.Portfolio = &solver.PortfolioOptions{Adaptive: true}
 	if _, err := Run(cfg); err == nil {
 		t.Error("adaptive mode without chains accepted")
 	}
 	cfg = testConfig()
-	cfg.Chains = 1
-	cfg.PortfolioMembers = []string{"ttsa", "cheap"}
+	cfg.Portfolio = &solver.PortfolioOptions{Chains: 1, Members: []string{"ttsa", "cheap"}}
 	if _, err := Run(cfg); err == nil {
 		t.Error("member roster without chains accepted")
 	}
 	cfg = testConfig()
-	cfg.Chains = 2
-	cfg.PortfolioMembers = []string{"bogus"}
+	cfg.Portfolio = &solver.PortfolioOptions{Chains: 2, Members: []string{"bogus"}}
 	if _, err := Run(cfg); err == nil {
 		t.Error("unknown member name accepted")
 	}
@@ -159,9 +158,7 @@ func TestAdaptiveReplayDeterministic(t *testing.T) {
 		cfg := testConfig()
 		cfg.Epochs = 8
 		cfg.ActiveProb = 0.9
-		cfg.Chains = 4
-		cfg.PortfolioWorkers = workers
-		cfg.PortfolioAdaptive = true
+		cfg.Portfolio = &solver.PortfolioOptions{Chains: 4, Workers: workers, Adaptive: true}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)

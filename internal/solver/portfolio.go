@@ -79,13 +79,20 @@ type MemberTotal struct {
 	BudgetMs    float64 `json:"budgetMs"`
 }
 
-// Validate checks the options domain.
+// Validate checks the options domain: non-negative counts, and more than
+// one chain for the adaptive selector or a member roster, which have
+// nothing to allocate across a single chain. Every consumer (portfolio,
+// coordinator, dynamic replay, CLI flags) checks options here.
 func (o PortfolioOptions) Validate() error {
-	if o.Chains < 0 {
+	switch {
+	case o.Chains < 0:
 		return fmt.Errorf("solver: portfolio chains must be non-negative, got %d", o.Chains)
-	}
-	if o.Workers < 0 {
+	case o.Workers < 0:
 		return fmt.Errorf("solver: portfolio workers must be non-negative, got %d", o.Workers)
+	case o.Adaptive && o.Chains <= 1:
+		return fmt.Errorf("solver: the adaptive portfolio requires more than one chain, got %d", o.Chains)
+	case len(o.Members) > 0 && o.Chains <= 1:
+		return fmt.Errorf("solver: a portfolio member roster requires more than one chain, got %d", o.Chains)
 	}
 	return nil
 }

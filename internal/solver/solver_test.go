@@ -127,3 +127,32 @@ func TestVerifyRejects(t *testing.T) {
 		}
 	})
 }
+
+// TestPortfolioOptionsValidate covers the one rule set every portfolio
+// consumer checks: non-negative counts, and more than one chain for the
+// adaptive selector or a member roster.
+func TestPortfolioOptionsValidate(t *testing.T) {
+	for _, ok := range []PortfolioOptions{
+		{},
+		{Chains: 1},
+		{Chains: 4, Workers: 2},
+		{Chains: 2, Adaptive: true},
+		{Chains: 3, Members: []string{"ttsa", "cheap"}, Adaptive: true},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
+		}
+	}
+	for _, bad := range []PortfolioOptions{
+		{Chains: -1},
+		{Chains: 2, Workers: -1},
+		{Adaptive: true},
+		{Chains: 1, Adaptive: true},
+		{Members: []string{"ttsa"}},
+		{Chains: 1, Members: []string{"ttsa", "cheap"}},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package tsajs
 
 import (
-	"net/http"
-
 	"github.com/tsajs/tsajs/internal/alloc"
 	"github.com/tsajs/tsajs/internal/analysis"
 	"github.com/tsajs/tsajs/internal/assign"
@@ -33,10 +31,6 @@ type (
 	Scenario = scenario.Scenario
 	// Params configures Build; see DefaultParams for the paper defaults.
 	Params = scenario.Params
-	// User is one mobile user (position, task, device, preferences).
-	User = scenario.User
-	// Server is one MEC server co-located with a base station.
-	Server = scenario.Server
 	// Task is an atomic computation assignment ⟨d_u, w_u⟩.
 	Task = task.Task
 	// Point is a planar position in kilometres.
@@ -48,8 +42,6 @@ type (
 	Allocation = alloc.Allocation
 	// Report is the full per-user evaluation of a decision.
 	Report = objective.Report
-	// UserMetrics is one user's outcome within a Report.
-	UserMetrics = objective.UserMetrics
 	// Result is the outcome of one scheduler run.
 	Result = solver.Result
 	// Scheduler is the common interface of TSAJS and all baselines.
@@ -77,21 +69,6 @@ type (
 	// PortfolioOptions configures a Portfolio (chain count, worker cap,
 	// heterogeneous member roster, adaptive bandit selection).
 	PortfolioOptions = solver.PortfolioOptions
-	// PortfolioMemberOutcome is one chain slot's outcome in a portfolio
-	// solve: the member that ran it, the utility it reached, and whether it
-	// won the reduction.
-	PortfolioMemberOutcome = solver.MemberOutcome
-	// PortfolioMemberTotal aggregates a member's lifetime slots, wins,
-	// evaluations, and wall-clock budget across an adaptive run.
-	PortfolioMemberTotal = solver.MemberTotal
-	// PortfolioMetrics records per-member portfolio telemetry (chain slots,
-	// epoch wins, cumulative budget milliseconds) into a registry; attach
-	// with Portfolio.WithMemberObserver.
-	PortfolioMetrics = obs.PortfolioMetrics
-	// MoveWeights is the Algorithm 2 neighbourhood move mix.
-	MoveWeights = core.MoveWeights
-	// LocalSearchConfig parametrizes the LocalSearch baseline.
-	LocalSearchConfig = baseline.LocalSearchConfig
 	// ExperimentOptions controls paper-figure reproduction runs.
 	ExperimentOptions = experiment.Options
 	// FigureTable is one reproduced figure panel (x axis + series).
@@ -106,17 +83,11 @@ type (
 	DeltaConfig = delta.Config
 	// DynamicResult aggregates an online simulation run.
 	DynamicResult = dynamic.Result
-	// EpochMetrics is one scheduling round of an online simulation.
-	EpochMetrics = dynamic.EpochMetrics
 	// Coordinator is the C-RAN scheduling service (the paper's
 	// centralized BBU) serving offloading requests over TCP.
 	Coordinator = cran.Server
 	// CoordinatorConfig parametrizes a Coordinator.
 	CoordinatorConfig = cran.ServerConfig
-	// WireLimits are the per-connection wire limits a Coordinator or a
-	// ShardRouter serves under: idle read deadline, request size cap and
-	// connection cap.
-	WireLimits = cran.Limits
 	// CoordinatorClient is a device-side connection to a Coordinator.
 	CoordinatorClient = cran.Client
 	// OffloadRequest and OffloadResponse are the coordinator's wire
@@ -127,29 +98,17 @@ type (
 	// with jittered exponential backoff, automatic reconnection, a
 	// circuit breaker, and graceful degradation to local execution.
 	ResilienceConfig = cran.ResilienceConfig
-	// CoordinatorHealth is the coordinator's answer to a health probe.
-	CoordinatorHealth = cran.Health
-	// CoordinatorStats snapshots a coordinator's operational counters.
-	CoordinatorStats = cran.Stats
 	// FaultConfig parametrizes seedable fault-plan generation (two-state
 	// Markov outages per edge server plus coordinator windows).
 	FaultConfig = faults.Config
 	// FaultPlan is a deterministic epoch-by-epoch failure schedule,
 	// consumable by DynamicConfig.FaultPlan.
 	FaultPlan = faults.Plan
-	// ChaosConfig parametrizes fault-injecting connection wrappers for
-	// protocol-level resilience testing.
-	ChaosConfig = faults.ChaosConfig
 	// SolverChaos injects deterministic per-epoch latency into the
 	// coordinator's solve path (the slow-solver failure mode); wire into
 	// CoordinatorConfig.SolverChaos, optionally windowed in wall-clock
 	// time.
 	SolverChaos = faults.SolverChaos
-	// BrownoutConfig tunes the coordinator's graceful degradation: under
-	// queue pressure epochs are solved with a truncated anneal or the
-	// cheap deterministic solver instead of the full TTSA budget, with
-	// hysteresis and a dwell so the tier never flaps.
-	BrownoutConfig = cran.BrownoutConfig
 	// OverloadConfig parametrizes the end-to-end chaos harness
 	// (RunOverloadHarness).
 	OverloadConfig = chaos.Config
@@ -160,18 +119,6 @@ type (
 	// lock-free counters, gauges, and fixed-bucket histograms, rendered in
 	// Prometheus text exposition format and JSON.
 	MetricsRegistry = obs.Registry
-	// MetricLabel is one constant key/value label on a metric series.
-	MetricLabel = obs.Label
-	// SolverMetrics records per-solve scheduler telemetry (stage counts,
-	// move acceptance, threshold-trigger activations, solve latency,
-	// utility) into a registry; attach with TTSA.WithObserver or
-	// Portfolio.WithObserver.
-	SolverMetrics = obs.SolverMetrics
-	// SolveStats is one solve's telemetry report.
-	SolveStats = solver.SolveStats
-	// SolveObserver receives per-solve telemetry from instrumented
-	// schedulers.
-	SolveObserver = solver.SolveObserver
 	// ClientMetrics counts the resilient client's retries, redials,
 	// breaker fast-fails, and graceful degradations; wire into
 	// ResilienceConfig.Metrics.
@@ -181,25 +128,13 @@ type (
 	// rejects requests for foreign cells with ErrWrongShard, and counts
 	// epochs per cell so decisions are independent of cluster layout.
 	CoordinatorPartition = cran.PartitionConfig
-	// ShardRing is the deterministic consistent-hash ring mapping cell IDs
-	// to coordinator shards; every cluster component derives the same
-	// cell→shard table from it.
-	ShardRing = shard.Ring
 	// ShardClient routes offload requests to the coordinator shard owning
 	// the caller's cell, with per-shard resilient connections and
 	// cross-shard handoff accounting.
 	ShardClient = shard.Client
 	// ShardClientConfig parametrizes a ShardClient.
 	ShardClientConfig = shard.ClientConfig
-	// ShardRouter fronts a whole shard cluster behind one endpoint, in
-	// either wire codec, for clients that are not shard-aware.
-	ShardRouter = shard.Router
-	// ShardRouterConfig parametrizes a ShardRouter.
-	ShardRouterConfig = shard.RouterConfig
 )
-
-// Local marks a user as executing its task on the device in an Assignment.
-const Local = assign.Local
 
 // DefaultParams returns the paper's evaluation defaults (Section V): S=9
 // hexagonal cells 1 km apart, N=3 subchannels over B=20 MHz, σ²=−100 dBm,
@@ -242,11 +177,6 @@ func NewHJTORA() Scheduler      { return &baseline.HJTORA{} }
 func NewGreedy() Scheduler      { return &baseline.Greedy{} }
 func NewLocalSearch() Scheduler { return baseline.NewDefaultLocalSearch() }
 
-// NewLocalSearchWith returns a LocalSearch baseline with a custom budget.
-func NewLocalSearchWith(cfg LocalSearchConfig) (Scheduler, error) {
-	return baseline.NewLocalSearch(cfg)
-}
-
 // NewAssignment returns an all-local decision sized for sc.
 func NewAssignment(sc *Scenario) (*Assignment, error) {
 	return assign.New(sc.U(), sc.S(), sc.N())
@@ -282,19 +212,6 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) { return dynamic.Run(
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewSolverMetrics returns a solve observer recording tsajs_solver_*
-// metrics into r, labelled by scheme plus the given constant labels.
-func NewSolverMetrics(r *MetricsRegistry, labels ...MetricLabel) *SolverMetrics {
-	return obs.NewSolverMetrics(r, labels...)
-}
-
-// MetricsMux builds the introspection HTTP handler: /metrics (Prometheus
-// text), /stats (the callback's value as JSON; the registry when nil),
-// /healthz, and the net/http/pprof handlers under /debug/pprof/.
-func MetricsMux(r *MetricsRegistry, stats func() any) *http.ServeMux {
-	return obs.Mux(r, stats)
-}
-
 // ErrCoordinatorQueueFull is the failure reason carried by every response in
 // an epoch batch that was flushed while the coordinator's solve queue was at
 // capacity: the batch is shed immediately (fail-fast backpressure) instead of
@@ -311,11 +228,6 @@ var ErrDeadlineExceeded = cran.ErrDeadlineExceeded
 // (estimated queue wait exceeds the deadline budget) and sheds it at the
 // door.
 var ErrAdmissionRejected = cran.ErrAdmissionRejected
-
-// IsBackpressureCode reports whether a response code marks a load-shedding
-// rejection (queue full, admission, deadline expiry) — the coordinator
-// alive but overloaded — as opposed to a fault.
-func IsBackpressureCode(code string) bool { return cran.IsBackpressureCode(code) }
 
 // RunOverloadHarness executes the end-to-end chaos harness: it measures a
 // coordinator's sustainable closed-loop rate, then drives a fault-injected
@@ -336,19 +248,12 @@ func NewCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) {
 	return cran.NewServer(addr, cfg)
 }
 
-// Coordinator wire protocols, for ResilienceConfig.Protocol: the
-// newline-delimited JSON of the original coordinator, and the wirev2
-// framed binary protocol that multiplexes many in-flight requests over one
-// connection. A coordinator serves both on the same port, negotiated on
-// each connection's first bytes.
-const (
-	CoordinatorProtocolJSON   = cran.ProtoJSON
-	CoordinatorProtocolBinary = cran.ProtoBinary
-)
-
-// ErrUnsupportedVersion is the typed rejection of an envelope or binary
-// handshake carrying a protocol version the coordinator does not speak.
-var ErrUnsupportedVersion = cran.ErrUnsupportedVersion
+// CoordinatorProtocolBinary selects, in ResilienceConfig.Protocol, the
+// wirev2 framed binary protocol that multiplexes many in-flight requests
+// over one connection instead of the default newline-delimited JSON. A
+// coordinator serves both on the same port, negotiated on each
+// connection's first bytes.
+const CoordinatorProtocolBinary = cran.ProtoBinary
 
 // DialCoordinatorBinary connects a device-side client to a coordinator
 // over the wirev2 binary protocol, with DialCoordinator's strict
@@ -393,20 +298,8 @@ func CompareTraces(a, b []TracePoint) (TraceComparison, error) {
 	return analysis.Compare(a, b)
 }
 
-// Figures lists the reproducible paper experiment identifiers
-// ("fig3".."fig9").
-func Figures() []string { return experiment.Figures() }
-
-// Ablations lists the design-choice experiments beyond the paper's
-// figures ("abl-cooling", "abl-moves", "abl-eviction", "abl-multistart").
-func Ablations() []string { return experiment.Ablations() }
-
-// RunAblation executes one ablation experiment.
-func RunAblation(id string, opts ExperimentOptions) ([]FigureTable, error) {
-	return experiment.RunAblation(id, opts)
-}
-
-// RunFigure reproduces one paper figure, returning one table per panel.
+// RunFigure reproduces one paper figure ("fig3".."fig9"), returning one
+// table per panel.
 func RunFigure(figure string, opts ExperimentOptions) ([]FigureTable, error) {
 	return experiment.Run(figure, opts)
 }
@@ -417,10 +310,6 @@ func RunFigure(figure string, opts ExperimentOptions) ([]FigureTable, error) {
 // shard is hopeless, so clients must re-resolve their routing instead.
 var ErrWrongShard = cran.ErrWrongShard
 
-// DefaultShardReplicas is the consistent-hash ring's default vnode count
-// per shard.
-const DefaultShardReplicas = shard.DefaultReplicas
-
 // CellSites returns the hexagonal cell site layout the coordinator derives
 // from params — the layout a ShardClient must be given so client-side
 // routing agrees with every shard's own cell resolution.
@@ -428,33 +317,11 @@ func CellSites(params Params) []Point {
 	return geom.HexLayout(params.NumServers, params.InterSiteKm)
 }
 
-// NewShardRing builds the consistent-hash ring for a K-shard cluster;
-// replicas <= 0 selects DefaultShardReplicas. Rings are deterministic: two
-// processes building one with the same parameters agree on every cell's
-// owner, and growing a cluster K→K+1 moves cells only to the new shard.
-func NewShardRing(shards, replicas int) (*ShardRing, error) {
-	return shard.NewRing(shards, replicas)
-}
-
-// ShardOwned lists the cells one shard owns under an assignment table, in
-// ascending cell order — the coordinator-side complement of a ring's
-// Assignment.
-func ShardOwned(assignment []int, index int) []int {
-	return shard.Owned(assignment, index)
-}
-
 // NewShardClient returns a shard-aware client for a coordinator cluster:
 // requests are routed by the cell nearest their position to the shard owning
 // that cell, over per-shard resilient connections.
 func NewShardClient(cfg ShardClientConfig) (*ShardClient, error) {
 	return shard.NewClient(cfg)
-}
-
-// NewShardRouter starts a router listening on addr that fans a client's
-// requests, in either wire codec, out across the shard cluster described by
-// cfg.Client.
-func NewShardRouter(addr string, cfg ShardRouterConfig) (*ShardRouter, error) {
-	return shard.NewRouter(addr, cfg)
 }
 
 // RunSpec executes a custom sweep from a declarative JSON specification

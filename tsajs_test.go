@@ -5,18 +5,26 @@ import (
 	"math"
 	"testing"
 
-	"github.com/tsajs/tsajs"
+	"github.com/tsajs/tsajs/internal/alloc"
+	"github.com/tsajs/tsajs/internal/assign"
+	"github.com/tsajs/tsajs/internal/baseline"
+	"github.com/tsajs/tsajs/internal/core"
+	"github.com/tsajs/tsajs/internal/experiment"
+	"github.com/tsajs/tsajs/internal/objective"
+	"github.com/tsajs/tsajs/internal/scenario"
+	"github.com/tsajs/tsajs/internal/simrand"
+	"github.com/tsajs/tsajs/internal/solver"
 )
 
-func buildSmall(t *testing.T) *tsajs.Scenario {
+func buildSmall(t *testing.T) *scenario.Scenario {
 	t.Helper()
-	p := tsajs.DefaultParams()
+	p := scenario.DefaultParams()
 	p.NumUsers = 8
 	p.NumServers = 3
 	p.NumChannels = 2
 	p.Workload.WorkCycles = 2500e6
 	p.Seed = 4
-	sc, err := tsajs.Build(p)
+	sc, err := scenario.Build(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,20 +33,20 @@ func buildSmall(t *testing.T) *tsajs.Scenario {
 
 func TestPublicAPISchedulers(t *testing.T) {
 	sc := buildSmall(t)
-	schedulers := []tsajs.Scheduler{
-		tsajs.NewScheduler(),
-		tsajs.NewExhaustive(),
-		tsajs.NewHJTORA(),
-		tsajs.NewGreedy(),
-		tsajs.NewLocalSearch(),
+	schedulers := []solver.Scheduler{
+		core.NewDefault(),
+		&baseline.Exhaustive{},
+		&baseline.HJTORA{},
+		&baseline.Greedy{},
+		baseline.NewDefaultLocalSearch(),
 	}
 	utilities := make(map[string]float64, len(schedulers))
 	for _, s := range schedulers {
-		res, err := s.Schedule(sc, tsajs.NewRand(1))
+		res, err := s.Schedule(sc, simrand.New(1))
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		if err := tsajs.Verify(sc, res); err != nil {
+		if err := solver.Verify(sc, res); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		utilities[res.Scheme] = res.Utility
@@ -59,14 +67,15 @@ func TestPublicAPISchedulers(t *testing.T) {
 
 func TestPublicAPIEvaluation(t *testing.T) {
 	sc := buildSmall(t)
-	res, err := tsajs.NewScheduler().Schedule(sc, tsajs.NewRand(2))
+	res, err := core.NewDefault().Schedule(sc, simrand.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The three utility views agree: Result.Utility, SystemUtility, and
 	// the report's weighted sum.
-	direct := tsajs.SystemUtility(sc, res.Assignment)
-	rep := tsajs.Evaluate(sc, res.Assignment)
+	eval := objective.New(sc)
+	direct := eval.SystemUtility(res.Assignment)
+	rep := eval.Evaluate(res.Assignment)
 	if math.Abs(direct-res.Utility) > 1e-9 {
 		t.Errorf("SystemUtility %.9f != Result.Utility %.9f", direct, res.Utility)
 	}
@@ -77,7 +86,7 @@ func TestPublicAPIEvaluation(t *testing.T) {
 		t.Errorf("report covers %d users, want %d", len(rep.Users), sc.U())
 	}
 	// The KKT allocation accessor agrees with the result's allocation.
-	f := tsajs.KKTAllocation(sc, res.Assignment)
+	f, _ := alloc.KKT(sc, res.Assignment)
 	for u := range f.FUs {
 		if math.Abs(f.FUs[u]-res.Allocation.FUs[u]) > 1e-6 {
 			t.Errorf("user %d allocation mismatch: %g vs %g", u, f.FUs[u], res.Allocation.FUs[u])
@@ -87,11 +96,11 @@ func TestPublicAPIEvaluation(t *testing.T) {
 
 func TestPublicAPIAssignmentWorkflow(t *testing.T) {
 	sc := buildSmall(t)
-	a, err := tsajs.NewAssignment(sc)
+	a, err := assign.New(sc.U(), sc.S(), sc.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tsajs.SystemUtility(sc, a); got != 0 {
+	if got := objective.New(sc).SystemUtility(a); got != 0 {
 		t.Errorf("all-local utility = %g", got)
 	}
 	if err := a.Offload(0, 0, 0); err != nil {
@@ -100,34 +109,34 @@ func TestPublicAPIAssignmentWorkflow(t *testing.T) {
 	if a.Offloaded() != 1 {
 		t.Errorf("offloaded = %d", a.Offloaded())
 	}
-	if tsajs.Local != -1 {
-		t.Errorf("Local constant = %d", tsajs.Local)
+	if assign.Local != -1 {
+		t.Errorf("Local constant = %d", assign.Local)
 	}
 }
 
 func TestPublicAPICustomConfig(t *testing.T) {
-	cfg := tsajs.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.InnerIterations = 10
 	cfg.MaxEvaluations = 500
-	s, err := tsajs.NewSchedulerWith(cfg)
+	s, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := buildSmall(t)
-	res, err := s.Schedule(sc, tsajs.NewRand(3))
+	res, err := s.Schedule(sc, simrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Evaluations > 500 {
 		t.Errorf("evaluations %d over cap", res.Evaluations)
 	}
-	bad := tsajs.DefaultConfig()
+	bad := core.DefaultConfig()
 	bad.CoolNormal = 2
-	if _, err := tsajs.NewSchedulerWith(bad); err == nil {
+	if _, err := core.New(bad); err == nil {
 		t.Error("invalid config accepted")
 	}
-	lsCfg := tsajs.LocalSearchConfig{MaxIterations: 100, Patience: 50, InitOffloadProb: 0.5}
-	if _, err := tsajs.NewLocalSearchWith(lsCfg); err != nil {
+	lsCfg := baseline.LocalSearchConfig{MaxIterations: 100, Patience: 50, InitOffloadProb: 0.5}
+	if _, err := baseline.NewLocalSearch(lsCfg); err != nil {
 		t.Errorf("valid local search config rejected: %v", err)
 	}
 }
@@ -138,17 +147,17 @@ func TestPublicAPIScenarioJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back tsajs.Scenario
+	var back scenario.Scenario
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
 	// Solving the decoded scenario with the same seed reproduces the
 	// original result bit for bit.
-	a, err := tsajs.NewScheduler().Schedule(sc, tsajs.NewRand(5))
+	a, err := core.NewDefault().Schedule(sc, simrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tsajs.NewScheduler().Schedule(&back, tsajs.NewRand(5))
+	b, err := core.NewDefault().Schedule(&back, simrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +167,11 @@ func TestPublicAPIScenarioJSON(t *testing.T) {
 }
 
 func TestPublicAPIFigures(t *testing.T) {
-	figs := tsajs.Figures()
+	figs := experiment.Figures()
 	if len(figs) != 7 {
 		t.Fatalf("Figures() = %v", figs)
 	}
-	tables, err := tsajs.RunFigure("fig3", tsajs.ExperimentOptions{Trials: 2, Quick: true})
+	tables, err := experiment.Run("fig3", experiment.Options{Trials: 2, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +181,7 @@ func TestPublicAPIFigures(t *testing.T) {
 	if err := tables[0].Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tsajs.RunFigure("nope", tsajs.ExperimentOptions{}); err == nil {
+	if _, err := experiment.Run("nope", experiment.Options{}); err == nil {
 		t.Error("unknown figure accepted")
 	}
 }
@@ -186,11 +195,11 @@ func TestHeterogeneousUsersViaFinalize(t *testing.T) {
 	if err := sc.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := tsajs.NewScheduler().Schedule(sc, tsajs.NewRand(6))
+	res, err := core.NewDefault().Schedule(sc, simrand.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tsajs.Verify(sc, res); err != nil {
+	if err := solver.Verify(sc, res); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid mutation must be rejected.
