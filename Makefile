@@ -162,13 +162,16 @@ bench-baseline:
 # Counted lines, the code-size figures ROADMAP quotes: tracked non-test Go
 # files, blank and `//` comment lines excluded — first the serving core
 # (internal/{cran,dynamic,delta}), then the shard cluster (internal/shard),
-# then the public facade (tsajs.go), then the whole repo outside the
-# servebench module.
+# the experiment harness (internal/{experiment,spec}), the solver portfolio
+# (internal/portfolio) and the public facade (tsajs.go), then the whole repo
+# outside the servebench module.
 .PHONY: loc
 loc:
 	@count() { cat $$(git ls-files -- "$$@" | grep '\.go$$' | grep -v '_test\.go$$') | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l; }; \
 	echo "internal/{cran,dynamic,delta}: $$(count internal/cran internal/dynamic internal/delta)"; \
 	echo "internal/shard: $$(count internal/shard)"; \
+	echo "internal/{experiment,spec}: $$(count internal/experiment internal/spec)"; \
+	echo "internal/portfolio: $$(count internal/portfolio)"; \
 	echo "tsajs (facade): $$(count tsajs.go)"; \
 	echo "repo-wide: $$(count . ':!servebench')"
 

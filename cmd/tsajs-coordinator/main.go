@@ -64,10 +64,9 @@ func main() {
 func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("tsajs-coordinator", flag.ContinueOnError)
 	shared := cli.AddCoordinator(fs, 50*time.Millisecond, 20000)
+	shared.AddDeltaFullEvery(fs)
 	var (
-		listen     = fs.String("listen", "127.0.0.1:7600", "listen address")
-		deltaEvery = fs.Int("delta-full-every", 0, "force a full solve every N epochs (0 = library default)")
-
+		listen      = fs.String("listen", "127.0.0.1:7600", "listen address")
 		readTimeout = fs.Duration("read-timeout", 5*time.Minute, "per-connection idle read deadline (negative disables)")
 		maxLine     = fs.Int("max-line-bytes", 1<<20, "maximum request line length on the wire [bytes]")
 		maxConns    = fs.Int("max-conns", 256, "maximum concurrently served connections")
@@ -95,9 +94,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	}
 	if *shardAddrs != "" {
 		return fmt.Errorf("-shard-addrs only applies with -router")
-	}
-	if cfg.Delta != nil {
-		cfg.Delta.FullEvery = *deltaEvery
 	}
 	if *shards > 0 {
 		ring, err := shard.NewRing(*shards, *ringReplicas)

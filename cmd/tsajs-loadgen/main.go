@@ -18,8 +18,10 @@
 // on; internal/cli), so a single command measures the serving pipeline end
 // to end — TCP framing, epoch batching, the bounded solve queue, and the
 // TTSA solve itself. With -addr set those flags are ignored.
-// Epochs/sec comes from a health-probe delta over the measured window;
-// latencies are client-observed round trips.
+// Epochs/sec comes from a health-probe delta over the measured window.
+// Closed-loop latencies (-rate 0) are client-observed round trips, that is
+// service time; paced latencies (-rate > 0) run from each request's
+// scheduled send, so queueing behind a slow answer counts.
 //
 // With -shards K the self-hosted tier becomes a K-coordinator cluster
 // partitioned by cell over the consistent-hash ring, driven through
@@ -126,7 +128,7 @@ func run(args []string, stdout io.Writer) error {
 		conns    = fs.Int("conns", 8, "concurrent client connections")
 		protocol = fs.String("protocol", "json", "client wire protocol: json (line-delimited envelopes) or binary (wirev2 multiplexed frames)")
 		duration = fs.Duration("duration", 5*time.Second, "measurement window")
-		rate     = fs.Float64("rate", 0, "offered load, requests/sec across all conns (0 = closed loop)")
+		rate     = fs.Float64("rate", 0, "offered load, requests/sec across all conns, latency timed from each scheduled send (0 = closed loop: latency is service time)")
 		jsonOut  = fs.Bool("json", false, "emit the report as JSON")
 
 		chaos        = fs.Duration("chaos", 0, "self-host: inject this solver delay into every epoch (0 = none)")
@@ -394,18 +396,22 @@ func drive(opts driveOpts) (report, error) {
 			defer cli.Close()
 			next := time.Now()
 			for i := 0; time.Now().Before(deadline); i++ {
-				if interval > 0 {
-					if wait := time.Until(next); wait > 0 {
-						time.Sleep(wait)
-					}
-					next = next.Add(interval)
-				}
 				req := cran.OffloadRequest{
 					UserID: opts.userID(c, i),
 					Pos:    opts.pos(c, i),
 					Task:   task.Task{DataBits: 420 * 8 * 1024, WorkCycles: 1000e6},
 				}
 				start := time.Now()
+				if interval > 0 {
+					if wait := time.Until(next); wait > 0 {
+						time.Sleep(wait)
+					}
+					// Paced latency runs from the scheduled send, as in
+					// wrk2: a slow answer that delays this send is counted,
+					// not omitted.
+					start = next
+					next = next.Add(interval)
+				}
 				resp, err := cli.Offload(ctx, req)
 				elapsed := time.Since(start)
 				switch {

@@ -226,6 +226,35 @@ func TestLoadgenDeadlineBrownoutRun(t *testing.T) {
 	}
 }
 
+// TestLoadgenPacedLatencyCountsQueueing paces one connection at 100 req/s
+// against epochs slower than the 10 ms send interval (a 10 ms batch window
+// plus a 40 ms injected solver delay), so each send falls further behind
+// its schedule. Timed from the scheduled send, p99 must show that backlog,
+// several epochs' service time; timed from the actual send it would read
+// about one epoch.
+func TestLoadgenPacedLatencyCountsQueueing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("load generation run skipped in -short mode")
+	}
+	var out bytes.Buffer
+	err := run([]string{
+		"-conns", "1", "-rate", "100", "-duration", "1s", "-window", "10ms",
+		"-chaos", "40ms", "-budget", "300", "-json",
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	var rep report
+	if err := json.Unmarshal([]byte(text[strings.Index(text, "{"):]), &rep); err != nil {
+		t.Fatalf("report not parseable: %v\n%s", err, text)
+	}
+	const epochMs = 10 + 40
+	if rep.Scheduled == 0 || rep.P99Ms < 4*epochMs {
+		t.Errorf("%d scheduled, p99 %.1f ms; want some, and p99 >= %d ms (4 epochs)", rep.Scheduled, rep.P99Ms, 4*epochMs)
+	}
+}
+
 // TestQuantileMs pins the nearest-rank percentile helper.
 func TestQuantileMs(t *testing.T) {
 	if got := quantileMs(nil, 0.5); got != 0 {

@@ -50,7 +50,6 @@ func run(args []string, stdout io.Writer) error {
 		pfFlags  = cli.AddPortfolio(fs)
 
 		deltaFlags   = cli.AddDelta(fs)
-		deltaEvery   = fs.Int("delta-full-every", 0, "force a full solve every N epochs (0 = library default)")
 		deltaDriftKm = fs.Float64("delta-drift-km", 0, "cumulative per-user drift that forces a full solve [km] (0 = default)")
 
 		failProb     = fs.Float64("fail-prob", 0, "per-epoch edge-server failure probability (0 = no faults)")
@@ -63,6 +62,7 @@ func run(args []string, stdout io.Writer) error {
 		metricsOut = fs.String("metrics-out",
 			"", "write the run's metrics in Prometheus text format to this file after the replay (\"-\" = stdout)")
 	)
+	deltaFlags.AddFullEvery(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -96,7 +96,6 @@ func run(args []string, stdout io.Writer) error {
 
 	deltaCfg := deltaFlags.Config()
 	if deltaCfg != nil {
-		deltaCfg.FullEvery = *deltaEvery
 		deltaCfg.DriftKm = *deltaDriftKm
 	}
 

@@ -16,9 +16,9 @@ import (
 	"os"
 	"strings"
 
-	"github.com/tsajs/tsajs/internal/baseline"
 	"github.com/tsajs/tsajs/internal/cli"
 	"github.com/tsajs/tsajs/internal/core"
+	"github.com/tsajs/tsajs/internal/experiment"
 	"github.com/tsajs/tsajs/internal/objective"
 	"github.com/tsajs/tsajs/internal/perf"
 	"github.com/tsajs/tsajs/internal/portfolio"
@@ -38,7 +38,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tsajs-solve", flag.ContinueOnError)
 	var (
 		in      = fs.String("in", "", "scenario JSON file (default: stdin)")
-		scheme  = fs.String("scheme", "tsajs", "scheduler: tsajs, exhaustive, hjtora, localsearch, greedy")
+		scheme  = fs.String("scheme", "tsajs", "scheduler: "+strings.Join(experiment.SchemeNames(), ", ")+" (aliases ttsa, optimal, local)")
 		seed    = fs.Uint64("seed", 1, "random seed for stochastic schedulers")
 		pfFlags = cli.AddPortfolio(fs)
 		workers = fs.Int("workers", 0, "portfolio worker cap (0 = GOMAXPROCS; affects speed only, never the result)")
@@ -70,10 +70,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 
-	sched, err := schedulerFor(*scheme)
+	named, err := experiment.NewScheme(*scheme, 0, experiment.Options{})
 	if err != nil {
 		return err
 	}
+	sched := named.Scheduler
 	pf, err := pfFlags.Options()
 	if err != nil {
 		return err
@@ -154,21 +155,4 @@ func solveTraced(sc *scenario.Scenario, scheme string, seed uint64, path string)
 		}
 	}
 	return res, f.Sync()
-}
-
-func schedulerFor(name string) (solver.Scheduler, error) {
-	switch strings.ToLower(name) {
-	case "tsajs", "ttsa":
-		return core.NewDefault(), nil
-	case "exhaustive", "optimal":
-		return &baseline.Exhaustive{}, nil
-	case "hjtora":
-		return &baseline.HJTORA{}, nil
-	case "localsearch", "local":
-		return baseline.NewDefaultLocalSearch(), nil
-	case "greedy":
-		return &baseline.Greedy{}, nil
-	default:
-		return nil, fmt.Errorf("unknown scheme %q (want tsajs, exhaustive, hjtora, localsearch, greedy)", name)
-	}
 }

@@ -80,33 +80,6 @@ func EvaluationsToTarget(trace []core.TracePoint, target float64) (int, error) {
 	return 0, fmt.Errorf("%w: target %g, best %g", ErrTargetNotReached, target, finalBest(trace))
 }
 
-// AreaUnderBest integrates the best-so-far curve over evaluations,
-// normalized by (total evaluations × final best). Values near 1 mean the
-// search found its final quality almost immediately; lower values mean a
-// slow climb. Defined only for positive final best.
-func AreaUnderBest(trace []core.TracePoint) (float64, error) {
-	if len(trace) < 2 {
-		return 0, errors.New("analysis: trace too short")
-	}
-	fb := finalBest(trace)
-	if fb <= 0 {
-		return 0, errors.New("analysis: final best not positive")
-	}
-	area := 0.0
-	for i := 1; i < len(trace); i++ {
-		dx := float64(trace[i].Evaluations - trace[i-1].Evaluations)
-		// Clamp negative transients (a best below zero contributes
-		// nothing rather than a negative area).
-		y := math.Max(0, trace[i-1].Best)
-		area += dx * y
-	}
-	total := float64(trace[len(trace)-1].Evaluations - trace[0].Evaluations)
-	if total <= 0 {
-		return 0, errors.New("analysis: trace has no evaluation progress")
-	}
-	return area / (total * fb), nil
-}
-
 // Compare reports how much faster (in evaluations) trace a reaches the
 // weaker of the two final bests, versus trace b. Positive speedup means a
 // was faster.

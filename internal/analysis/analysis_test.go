@@ -72,28 +72,6 @@ func TestEvaluationsToTarget(t *testing.T) {
 	}
 }
 
-func TestAreaUnderBest(t *testing.T) {
-	auc, err := AreaUnderBest(syntheticTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hand integral: segments (10 evals each) at clamped bests
-	// 0, 2, 8, 9.95 → area = 10·(0+2+8+9.95) = 199.5 over 40·10 = 400.
-	want := 199.5 / 400
-	if math.Abs(auc-want) > 1e-9 {
-		t.Errorf("AUC = %g, want %g", auc, want)
-	}
-	if _, err := AreaUnderBest(syntheticTrace()[:1]); err == nil {
-		t.Error("short trace accepted")
-	}
-	flat := []core.TracePoint{
-		{Best: -1, Evaluations: 1}, {Best: -1, Evaluations: 2},
-	}
-	if _, err := AreaUnderBest(flat); err == nil {
-		t.Error("non-positive final best accepted")
-	}
-}
-
 func TestCompareSynthetic(t *testing.T) {
 	fast := syntheticTrace()
 	slow := []core.TracePoint{
@@ -148,13 +126,6 @@ func TestOnRealTrace(t *testing.T) {
 	}
 	if s.StagesTo99 < 0 || s.StagesTo99 >= s.Stages {
 		t.Errorf("99%% stage = %d of %d", s.StagesTo99, s.Stages)
-	}
-	auc, err := AreaUnderBest(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auc <= 0 || auc > 1.0+1e-9 {
-		t.Errorf("AUC = %g outside (0,1]", auc)
 	}
 	// Comparing a trace against itself is a unit speedup.
 	c, err := Compare(trace, trace)

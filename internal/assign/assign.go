@@ -240,16 +240,6 @@ func (a *Assignment) UsersOf(s int, buf []int) []int {
 	return buf
 }
 
-// OffloadedUsers appends all offloading users to buf and returns it.
-func (a *Assignment) OffloadedUsers(buf []int) []int {
-	for u, s := range a.serverOf {
-		if s != Local {
-			buf = append(buf, u)
-		}
-	}
-	return buf
-}
-
 // Clone returns a deep copy of the assignment.
 func (a *Assignment) Clone() *Assignment {
 	c := &Assignment{

@@ -194,7 +194,7 @@ func TestFreeChannel(t *testing.T) {
 	}
 }
 
-func TestUsersOfAndOffloadedUsers(t *testing.T) {
+func TestUsersOf(t *testing.T) {
 	a := mustNew(t, 5, 2, 3)
 	mustOffload(t, a, 0, 0, 1)
 	mustOffload(t, a, 3, 0, 2)
@@ -202,10 +202,6 @@ func TestUsersOfAndOffloadedUsers(t *testing.T) {
 	got := a.UsersOf(0, nil)
 	if len(got) != 2 {
 		t.Fatalf("UsersOf(0) = %v", got)
-	}
-	all := a.OffloadedUsers(nil)
-	if len(all) != 3 {
-		t.Fatalf("OffloadedUsers = %v", all)
 	}
 	// Buffer reuse appends.
 	buf := make([]int, 0, 8)

@@ -4,7 +4,8 @@
 //   - Portfolio: -chains, -portfolio and -members, for tsajs-solve,
 //     tsajs-replay, tsajs-coordinator and tsajs-loadgen.
 //   - Delta: -delta and -delta-threshold-km, for tsajs-replay,
-//     tsajs-coordinator and tsajs-loadgen.
+//     tsajs-coordinator and tsajs-loadgen; -delta-full-every, for
+//     tsajs-replay and tsajs-coordinator.
 //   - Coordinator: the coordinator's serving options, for
 //     tsajs-coordinator and the coordinator tsajs-loadgen hosts itself.
 //
@@ -71,10 +72,12 @@ func (p *Portfolio) Options() (*solver.PortfolioOptions, error) {
 	return opts, nil
 }
 
-// Delta holds the -delta and -delta-threshold-km flags.
+// Delta holds the -delta and -delta-threshold-km flags, and
+// -delta-full-every where the command registers it.
 type Delta struct {
 	on        *bool
 	threshold *float64
+	fullEvery *int
 }
 
 // AddDelta registers -delta and -delta-threshold-km on fs.
@@ -87,13 +90,23 @@ func AddDelta(fs *flag.FlagSet) *Delta {
 	}
 }
 
+// AddFullEvery registers -delta-full-every on fs. Without it the full-solve
+// cadence keeps the library default.
+func (d *Delta) AddFullEvery(fs *flag.FlagSet) {
+	d.fullEvery = fs.Int("delta-full-every", 0, "force a full solve every N epochs (0 = library default)")
+}
+
 // Config returns the delta configuration the flags describe, or nil
 // without -delta.
 func (d *Delta) Config() *delta.Config {
 	if !*d.on {
 		return nil
 	}
-	return &delta.Config{MoveThresholdKm: *d.threshold}
+	cfg := &delta.Config{MoveThresholdKm: *d.threshold}
+	if d.fullEvery != nil {
+		cfg.FullEvery = *d.fullEvery
+	}
+	return cfg
 }
 
 // Coordinator holds the serving options tsajs-coordinator and the
@@ -131,6 +144,10 @@ func AddCoordinator(fs *flag.FlagSet, window time.Duration, budget int) *Coordin
 		delta:     AddDelta(fs),
 	}
 }
+
+// AddDeltaFullEvery registers -delta-full-every on fs (see
+// Delta.AddFullEvery).
+func (c *Coordinator) AddDeltaFullEvery(fs *flag.FlagSet) { c.delta.AddFullEvery(fs) }
 
 // Config returns the coordinator configuration the flags describe. Delta
 // is nil without -delta, and Portfolio nil for a single TTSA chain.

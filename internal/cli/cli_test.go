@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"os"
 	"reflect"
 	"regexp"
@@ -117,7 +118,23 @@ func TestCoordinatorFlags(t *testing.T) {
 	}
 
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	c := AddCoordinator(fs, 0, 0)
+	if fs.Parse([]string{"-delta-full-every", "4"}) == nil {
+		t.Error("-delta-full-every accepted without AddDeltaFullEvery")
+	}
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	c = AddCoordinator(fs, 30*time.Millisecond, 900)
+	c.AddDeltaFullEvery(fs)
+	if err := fs.Parse([]string{"-delta", "-delta-full-every", "4"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Config(); err != nil || !reflect.DeepEqual(got.Delta, &delta.Config{MoveThresholdKm: 0.05, FullEvery: 4}) {
+		t.Errorf("-delta -delta-full-every 4: delta %+v, err %v", got.Delta, err)
+	}
+
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	c = AddCoordinator(fs, 0, 0)
 	if err := fs.Parse([]string{"-portfolio", "adaptive"}); err != nil {
 		t.Fatal(err)
 	}

@@ -41,6 +41,15 @@ import (
 //     advances the cursor. A chain without state is never sequenced, so a
 //     plain coordinator's workers solve its epochs concurrently.
 
+// servingSelectorLag is how far behind an adaptive chain's selector
+// learns: Plan(e) folds the outcomes of epochs up to e-32. It is a
+// constant, not the pipeline depth QueueDepth+Workers+1, so a chain's plans
+// (and with them its decisions) are the same for every worker count and
+// queue depth. 32 covers the default pipeline (QueueDepth 2·Workers, at
+// least 4) up to 10 workers; a deeper pipeline makes the collector wait in
+// Plan until the epoch 32 back has been solved or skipped.
+const servingSelectorLag = 32
+
 // chain is one scheduling chain. epoch is owned by the batch collector;
 // state by whichever worker holds the chain between acquire and advance;
 // the sequencer fields (next, skipped, closed) are guarded by mu.

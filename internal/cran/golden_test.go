@@ -18,6 +18,29 @@ import (
 // into a neighbouring cell.
 const goldenRounds = 8
 
+// TestAdaptiveServingIndependentOfWorkers serves more rounds than the
+// selector lag, so the adaptive selector learns from earlier outcomes, on
+// a queue shallow enough (QueueDepth 4) that a lag derived from the
+// pipeline depth would differ between 1 and 4 workers. Every worker count
+// and codec must still dump the same decisions and member counts.
+func TestAdaptiveServingIndependentOfWorkers(t *testing.T) {
+	var first string
+	for _, workers := range []int{1, 4} {
+		for _, protocol := range []string{ProtoJSON, ProtoBinary} {
+			cfg := goldenServerConfig(workers)
+			cfg.QueueDepth = 4
+			cfg.Portfolio = &solver.PortfolioOptions{Chains: 3, Adaptive: true}
+			dump := goldenDump(t, cfg, protocol, servingSelectorLag+8)
+			if first == "" {
+				first = dump
+			} else if dump != first {
+				t.Errorf("workers=%d %s diverged from workers=1 json:\n--- got ---\n%s--- want ---\n%s",
+					workers, protocol, dump, first)
+			}
+		}
+	}
+}
+
 // goldenServingConfigs are the serving modes pinned by
 // TestServingDecisionsGolden, each applied to the delta suite's base
 // coordinator (three cells, one round per epoch).
@@ -64,11 +87,11 @@ func goldenServerConfig(workers int) ServerConfig {
 	}
 }
 
-// goldenDump serves goldenRounds rounds on a fresh coordinator and renders
+// goldenDump serves rounds rounds on a fresh coordinator and renders
 // every decision, in (round, user) order, plus the delta counters and the
 // portfolio members' slot and win counts. Floats print in %x so the dump
 // is exact.
-func goldenDump(t *testing.T, cfg ServerConfig, protocol string) string {
+func goldenDump(t *testing.T, cfg ServerConfig, protocol string, rounds int) string {
 	t.Helper()
 	srv, err := NewServer("127.0.0.1:0", cfg)
 	if err != nil {
@@ -76,7 +99,7 @@ func goldenDump(t *testing.T, cfg ServerConfig, protocol string) string {
 	}
 	defer func() { _ = srv.Close() }()
 	var b strings.Builder
-	for r := 1; r <= goldenRounds; r++ {
+	for r := 1; r <= rounds; r++ {
 		got := runDeltaRound(t, srv, protocol, deltaDiffRequests(r))
 		users := make([]string, 0, len(got))
 		for u := range got {
@@ -115,7 +138,7 @@ func TestServingDecisionsGolden(t *testing.T) {
 			for _, protocol := range []string{ProtoJSON, ProtoBinary} {
 				cfg := goldenServerConfig(workers)
 				gc.mutate(&cfg)
-				dump := goldenDump(t, cfg, protocol)
+				dump := goldenDump(t, cfg, protocol, goldenRounds)
 				if first == "" {
 					first = dump
 				} else if dump != first {

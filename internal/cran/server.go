@@ -88,15 +88,17 @@ type ServerConfig struct {
 	Partition *PartitionConfig
 	// Portfolio, when non-nil, solves every full-quality epoch that is not a
 	// delta repair as a heterogeneous K-chain portfolio (internal/portfolio)
-	// instead of a single TTSA chain. With Adaptive set, each epoch's chain budget is
-	// reallocated across the member roster by the deterministic UCB
-	// selector, fed by the outcomes of epochs at least QueueDepth+Workers+1
-	// behind — the structural bound on stamped-but-unfinished epochs — so
-	// plans are a pure function of (Seed, epoch, earlier outcomes) and
-	// bit-identical for every worker count. The selector records the epochs
-	// the portfolio does not solve as skipped: brownout-degraded epochs
-	// (they keep the degradation ladder's truncated/cheap solvers) and
-	// delta repair epochs (a repair anneals from the carried incumbent).
+	// instead of a single TTSA chain. With Adaptive set, each epoch's chain
+	// budget is reallocated across the member roster by the deterministic
+	// UCB selector, fed by the outcomes of epochs at least
+	// servingSelectorLag (a constant 32) behind, so plans are a pure
+	// function of (Seed, epoch, earlier outcomes) and bit-identical for
+	// every worker count and queue depth. A pipeline deeper than the lag
+	// (QueueDepth+Workers+1 > 32) makes the collector wait in the selector
+	// until the epoch 32 back has been solved. The selector records the
+	// epochs the portfolio does not solve as skipped: brownout-degraded
+	// epochs (they keep the degradation ladder's truncated/cheap solvers)
+	// and delta repair epochs (a repair anneals from the carried incumbent).
 	// Chains run sequentially on the owning solver worker (Workers here
 	// already parallelizes across epochs).
 	Portfolio *solver.PortfolioOptions
@@ -319,13 +321,8 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		s.pfMetrics = obs.NewPortfolioMetrics(reg)
 		s.pf = pf.WithObserver(solverObs).WithMemberObserver(s.pfMetrics)
 		if pfOpts.Adaptive {
-			// The pipeline-depth lag: at stamp time of epoch e at most
-			// QueueDepth epochs sit in the solve queue and Workers more are
-			// held by workers, so epochs e-lag and earlier have always been
-			// committed or skipped — Plan never blocks in steady state.
-			lag := cfg.QueueDepth + cfg.Workers + 1
 			newSelector = func() *portfolio.Selector {
-				return portfolio.NewSelector(s.pf.Members(), pfOpts.Chains, lag)
+				return portfolio.NewSelector(s.pf.Members(), pfOpts.Chains, servingSelectorLag)
 			}
 		}
 	}

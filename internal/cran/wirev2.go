@@ -172,18 +172,6 @@ func byteToTier(b byte) (string, error) {
 	return "", fmt.Errorf("%w: unknown tier byte 0x%02x", ErrMalformedFrame, b)
 }
 
-// Request optional-field presence bits, in encode order.
-const (
-	reqBitOutputBits = 1 << iota
-	reqBitFLocalHz
-	reqBitTxPowerW
-	reqBitKappa
-	reqBitBetaTime
-	reqBitBetaEnergy
-	reqBitLambda
-	reqBitDeadlineMs
-)
-
 // Response flag bits.
 const (
 	respBitOffload = 1 << iota
@@ -297,6 +285,8 @@ func appendRequestFrame(dst []byte, id uint64, req *OffloadRequest) []byte {
 	dst = appendF64(dst, req.Pos.Y)
 	dst = appendF64(dst, req.Task.DataBits)
 	dst = appendF64(dst, req.Task.WorkCycles)
+	// Presence bit i marks opt[i] nonzero; the present fields follow the
+	// flags byte in opt order.
 	var flags byte
 	opt := [8]float64{
 		req.Task.OutputBits, req.FLocalHz, req.TxPowerW, req.Kappa,

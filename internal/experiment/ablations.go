@@ -34,21 +34,21 @@ func RunAblation(id string, opts Options) ([]report.Table, error) {
 	}
 }
 
-// ablationPoints sweeps the user count over the default network with a
-// moderately heavy workload, where search quality differences show.
-func ablationPoints(opts Options) []Point {
+// ablationSweep sweeps the schemes over the user count on the default
+// network with a moderately heavy workload, where search quality
+// differences show.
+func ablationSweep(opts Options, title, yLabel string, schemes []Scheme, metric Metric) (report.Table, error) {
 	userCounts := []float64{20, 40, 60, 80}
 	if opts.Quick {
 		userCounts = []float64{20, 40}
 	}
-	points := make([]Point, 0, len(userCounts))
-	for _, u := range userCounts {
-		p := scenario.DefaultParams()
-		p.NumUsers = int(u)
-		p.Workload.WorkCycles = 2500 * units.Megacycle
-		points = append(points, Point{X: u, Params: p})
+	base := scenario.DefaultParams()
+	base.Workload.WorkCycles = 2500 * units.Megacycle
+	points, err := Points(base, "users", userCounts)
+	if err != nil {
+		return report.Table{}, err
 	}
-	return points
+	return Sweep(opts, title, "users", yLabel, schemes, points, metric)
 }
 
 func ttsaVariant(name string, mutate func(*core.Config)) (Scheme, error) {
@@ -74,14 +74,13 @@ func AblationCooling(opts Options) ([]report.Table, error) {
 		return nil, err
 	}
 	schemes := []Scheme{threshold, plain}
-	points := ablationPoints(opts)
-	utility, err := Sweep(opts, "Ablation: threshold-triggered vs plain cooling (utility)",
-		"users", "system utility", schemes, points, UtilityMetric)
+	utility, err := ablationSweep(opts, "Ablation: threshold-triggered vs plain cooling (utility)",
+		"system utility", schemes, UtilityMetric)
 	if err != nil {
 		return nil, err
 	}
-	timing, err := Sweep(opts, "Ablation: threshold-triggered vs plain cooling (solve time)",
-		"users", "computation time [s]", schemes, points, TimeMetric)
+	timing, err := ablationSweep(opts, "Ablation: threshold-triggered vs plain cooling (solve time)",
+		"computation time [s]", schemes, TimeMetric)
 	if err != nil {
 		return nil, err
 	}
@@ -113,8 +112,8 @@ func AblationMoves(opts Options) ([]report.Table, error) {
 		}
 		schemes = append(schemes, sch)
 	}
-	t, err := Sweep(opts, fmt.Sprintf("Ablation: neighbourhood move mix (budget %d evaluations)", budget),
-		"users", "system utility", schemes, ablationPoints(opts), UtilityMetric)
+	t, err := ablationSweep(opts, fmt.Sprintf("Ablation: neighbourhood move mix (budget %d evaluations)", budget),
+		"system utility", schemes, UtilityMetric)
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +134,8 @@ func AblationEviction(opts Options) ([]report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := Sweep(opts, "Ablation: eviction vs rejection on occupied slots",
-		"users", "system utility", []Scheme{evict, reject}, ablationPoints(opts), UtilityMetric)
+	t, err := ablationSweep(opts, "Ablation: eviction vs rejection on occupied slots",
+		"system utility", []Scheme{evict, reject}, UtilityMetric)
 	if err != nil {
 		return nil, err
 	}
@@ -169,8 +168,8 @@ func AblationMultiStart(opts Options) ([]report.Table, error) {
 		{Name: "4-chains", Scheduler: ms},
 		{Name: ls.Name(), Scheduler: ls},
 	}
-	t, err := Sweep(opts, fmt.Sprintf("Ablation: multi-start vs single chain (total budget %d)", budget),
-		"users", "system utility", schemes, ablationPoints(opts), UtilityMetric)
+	t, err := ablationSweep(opts, fmt.Sprintf("Ablation: multi-start vs single chain (total budget %d)", budget),
+		"system utility", schemes, UtilityMetric)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/tsajs/tsajs/internal/scenario"
 	"github.com/tsajs/tsajs/internal/simrand"
 	"github.com/tsajs/tsajs/internal/solver"
+	"github.com/tsajs/tsajs/internal/units"
 )
 
 func greedyScheduler() solver.Scheduler { return &baseline.Greedy{} }
@@ -259,17 +260,61 @@ func TestSweepErrors(t *testing.T) {
 	}
 }
 
-func TestSortSchemes(t *testing.T) {
-	// SortSchemes orders by final-point mean, descending.
-	tables, err := Figure3(quickOpts())
-	if err != nil {
-		t.Fatal(err)
+// TestNewSchemeNames pins the name table: every listed name and alias
+// builds, in any case, under its display name; unknown names fail.
+func TestNewSchemeNames(t *testing.T) {
+	display := map[string]string{
+		"tsajs": "TSAJS", "ttsa": "TSAJS", "tsajs-ms": "TSAJS-MS",
+		"exhaustive": "Exhaustive", "optimal": "Exhaustive", "hjtora": "hJTORA",
+		"localsearch": "LocalSearch", "local": "LocalSearch", "greedy": "Greedy",
 	}
-	SortSchemes(&tables[0])
-	last := len(tables[0].X) - 1
-	for i := 1; i < len(tables[0].Series); i++ {
-		if tables[0].Series[i].Points[last].Mean > tables[0].Series[i-1].Points[last].Mean+1e-12 {
-			t.Error("SortSchemes did not order descending")
+	if len(SchemeNames())+len(schemeAliases) != len(display) || len(schemes) != len(SchemeNames()) {
+		t.Fatalf("table has %d names and %d aliases, test covers %d", len(schemes), len(schemeAliases), len(display))
+	}
+	for name, want := range display {
+		sch, err := NewScheme(strings.ToUpper(name), 0, Options{})
+		if err != nil || sch.Name != want {
+			t.Errorf("NewScheme(%q) = %q, %v; want %q", name, sch.Name, err, want)
+		}
+	}
+	if _, err := NewScheme("magic", 0, Options{}); err == nil {
+		t.Error("unknown scheme accepted")
+	}
+}
+
+// TestPoints pins the sweep-point builder: each sweep sets its parameter
+// and the point's x; count sweeps reject non-positive or fractional values
+// and an unknown sweep fails.
+func TestPoints(t *testing.T) {
+	want := map[string]func(scenario.Params) float64{
+		"users":       func(p scenario.Params) float64 { return float64(p.NumUsers) },
+		"servers":     func(p scenario.Params) float64 { return float64(p.NumServers) },
+		"channels":    func(p scenario.Params) float64 { return float64(p.NumChannels) },
+		"dataKB":      func(p scenario.Params) float64 { return p.Workload.DataBits / units.KB },
+		"workMcycles": func(p scenario.Params) float64 { return p.Workload.WorkCycles / units.Megacycle },
+		"betaTime":    func(p scenario.Params) float64 { return p.BetaTime },
+		"txPowerDBm":  func(p scenario.Params) float64 { return p.TxPowerDBm },
+	}
+	if len(want) != len(SweepNames()) {
+		t.Fatalf("test covers %d sweeps, package supports %d", len(want), len(SweepNames()))
+	}
+	for _, name := range SweepNames() {
+		pts, err := Points(scenario.DefaultParams(), name, []float64{3, 5})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, x := range []float64{3, 5} {
+			if pts[i].X != x || want[name](pts[i].Params) != x {
+				t.Errorf("%s point %d: x=%g param=%g, want %g", name, i, pts[i].X, want[name](pts[i].Params), x)
+			}
+		}
+	}
+	for _, bad := range []struct {
+		sweep string
+		v     float64
+	}{{"users", 2.5}, {"channels", 0}, {"volume", 1}} {
+		if _, err := Points(scenario.DefaultParams(), bad.sweep, []float64{bad.v}); err == nil {
+			t.Errorf("Points(%s, %g) accepted", bad.sweep, bad.v)
 		}
 	}
 }

@@ -2,14 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 
-	"github.com/tsajs/tsajs/internal/baseline"
-	"github.com/tsajs/tsajs/internal/core"
-	"github.com/tsajs/tsajs/internal/portfolio"
 	"github.com/tsajs/tsajs/internal/report"
 	"github.com/tsajs/tsajs/internal/scenario"
-	"github.com/tsajs/tsajs/internal/solver"
 	"github.com/tsajs/tsajs/internal/units"
 )
 
@@ -40,85 +35,26 @@ func Run(figure string, opts Options) ([]report.Table, error) {
 	}
 }
 
-// ttsa builds a TSAJS scheme with inner-loop length innerL, reduced search
-// budget in quick mode, and — when opts.Chains > 1 — the per-solve
-// multi-restart portfolio in place of the single sequential chain.
-func ttsa(name string, innerL int, opts Options) (Scheme, error) {
-	cfg := core.DefaultConfig()
-	cfg.InnerIterations = innerL
-	if opts.Quick {
-		cfg.MaxEvaluations = 2500
-	}
-	if opts.Chains > 1 {
-		pf, err := portfolio.New(cfg, solver.PortfolioOptions{Chains: opts.Chains})
-		if err != nil {
-			return Scheme{}, err
-		}
-		return Scheme{Name: name, Scheduler: pf}, nil
-	}
-	t, err := core.New(cfg)
-	if err != nil {
-		return Scheme{}, err
-	}
-	return Scheme{Name: name, Scheduler: t}, nil
-}
-
-func localSearch(quick bool) (Scheme, error) {
-	cfg := baseline.DefaultLocalSearchConfig()
-	if quick {
-		cfg.MaxIterations = 2500
-		cfg.Patience = 500
-	}
-	ls, err := baseline.NewLocalSearch(cfg)
-	if err != nil {
-		return Scheme{}, err
-	}
-	return Scheme{Name: ls.Name(), Scheduler: ls}, nil
-}
-
-// comparisonSchemes builds the standard scheme set of Figs. 4–8: TSAJS,
-// hJTORA, LocalSearch and Greedy (the exhaustive optimum only appears in
-// the small-network Fig. 3).
-func comparisonSchemes(innerL int, opts Options) ([]Scheme, error) {
-	ts, err := ttsa("TSAJS", innerL, opts)
-	if err != nil {
-		return nil, err
-	}
-	ls, err := localSearch(opts.Quick)
-	if err != nil {
-		return nil, err
-	}
-	return []Scheme{
-		ts,
-		{Name: "hJTORA", Scheduler: &baseline.HJTORA{}},
-		ls,
-		{Name: "Greedy", Scheduler: &baseline.Greedy{}},
-	}, nil
-}
-
 // Figure3 reproduces the suboptimality analysis: U=6 users in S=4 cells
 // with N=2 subchannels, workloads 1000–4000 Megacycles, comparing TSAJS
 // against the exhaustive optimum, hJTORA, LocalSearch and Greedy.
 func Figure3(opts Options) ([]report.Table, error) {
-	schemes, err := comparisonSchemes(30, opts)
+	// The exhaustive optimum follows TSAJS, as in the figure legend.
+	schemes, err := NewSchemes(30, opts, "tsajs", "exhaustive", "hjtora", "localsearch", "greedy")
 	if err != nil {
 		return nil, err
 	}
-	// Insert the exhaustive optimum after TSAJS, as in the figure legend.
-	schemes = append([]Scheme{schemes[0], {Name: "Exhaustive", Scheduler: &baseline.Exhaustive{}}}, schemes[1:]...)
-
 	workloads := []float64{1000, 2000, 3000, 4000}
 	if opts.Quick {
 		workloads = []float64{1000, 4000}
 	}
-	points := make([]Point, 0, len(workloads))
-	for _, w := range workloads {
-		p := scenario.DefaultParams()
-		p.NumUsers = 6
-		p.NumServers = 4
-		p.NumChannels = 2
-		p.Workload.WorkCycles = w * units.Megacycle
-		points = append(points, Point{X: w, Params: p})
+	base := scenario.DefaultParams()
+	base.NumUsers = 6
+	base.NumServers = 4
+	base.NumChannels = 2
+	points, err := Points(base, "workMcycles", workloads)
+	if err != nil {
+		return nil, err
 	}
 	t, err := Sweep(opts, "Fig. 3: average system utility vs task workload (U=6, S=4, N=2)",
 		"w [Mcycles]", "system utility", schemes, points, UtilityMetric)
@@ -140,17 +76,16 @@ func Figure4(opts Options) ([]report.Table, error) {
 	}
 	var tables []report.Table
 	for _, w := range workloads {
+		base := scenario.DefaultParams()
+		base.Workload.WorkCycles = w * units.Megacycle
+		points, err := Points(base, "users", userCounts)
+		if err != nil {
+			return nil, err
+		}
 		for _, innerL := range []int{10, 30} {
-			schemes, err := comparisonSchemes(innerL, opts)
+			schemes, err := NewSchemes(innerL, opts, ComparisonSchemes()...)
 			if err != nil {
 				return nil, err
-			}
-			points := make([]Point, 0, len(userCounts))
-			for _, u := range userCounts {
-				p := scenario.DefaultParams()
-				p.NumUsers = int(u)
-				p.Workload.WorkCycles = w * units.Megacycle
-				points = append(points, Point{X: u, Params: p})
 			}
 			t, err := Sweep(opts,
 				fmt.Sprintf("Fig. 4: average system utility vs number of users (w=%g Mcycles, L=%d)", w, innerL),
@@ -166,7 +101,7 @@ func Figure4(opts Options) ([]report.Table, error) {
 
 // Figure5 reproduces the task-data-size analysis: system utility vs d_u.
 func Figure5(opts Options) ([]report.Table, error) {
-	schemes, err := comparisonSchemes(30, opts)
+	schemes, err := NewSchemes(30, opts, ComparisonSchemes()...)
 	if err != nil {
 		return nil, err
 	}
@@ -174,11 +109,9 @@ func Figure5(opts Options) ([]report.Table, error) {
 	if opts.Quick {
 		sizesKB = []float64{100, 900}
 	}
-	points := make([]Point, 0, len(sizesKB))
-	for _, kb := range sizesKB {
-		p := scenario.DefaultParams()
-		p.Workload.DataBits = kb * units.KB
-		points = append(points, Point{X: kb, Params: p})
+	points, err := Points(scenario.DefaultParams(), "dataKB", sizesKB)
+	if err != nil {
+		return nil, err
 	}
 	t, err := Sweep(opts, "Fig. 5: average system utility vs task data size (U=30, S=9, N=3)",
 		"d_u [KB]", "system utility", schemes, points, UtilityMetric)
@@ -199,16 +132,15 @@ func Figure6(opts Options) ([]report.Table, error) {
 	}
 	var tables []report.Table
 	for _, u := range userCounts {
-		schemes, err := comparisonSchemes(30, opts)
+		schemes, err := NewSchemes(30, opts, ComparisonSchemes()...)
 		if err != nil {
 			return nil, err
 		}
-		points := make([]Point, 0, len(workloads))
-		for _, w := range workloads {
-			p := scenario.DefaultParams()
-			p.NumUsers = u
-			p.Workload.WorkCycles = w * units.Megacycle
-			points = append(points, Point{X: w, Params: p})
+		base := scenario.DefaultParams()
+		base.NumUsers = u
+		points, err := Points(base, "workMcycles", workloads)
+		if err != nil {
+			return nil, err
 		}
 		t, err := Sweep(opts,
 			fmt.Sprintf("Fig. 6: average system utility vs task workload (U=%d)", u),
@@ -238,18 +170,17 @@ func subchannelSweep(opts Options, figure, yLabel string, innerLs []int, metric 
 	if opts.Quick {
 		channels = []float64{2, 10}
 	}
+	base := scenario.DefaultParams()
+	base.NumUsers = 50
+	points, err := Points(base, "channels", channels)
+	if err != nil {
+		return nil, err
+	}
 	var tables []report.Table
 	for _, innerL := range innerLs {
-		schemes, err := comparisonSchemes(innerL, opts)
+		schemes, err := NewSchemes(innerL, opts, ComparisonSchemes()...)
 		if err != nil {
 			return nil, err
-		}
-		points := make([]Point, 0, len(channels))
-		for _, n := range channels {
-			p := scenario.DefaultParams()
-			p.NumUsers = 50
-			p.NumChannels = int(n)
-			points = append(points, Point{X: n, Params: p})
 		}
 		t, err := Sweep(opts,
 			fmt.Sprintf("%s: %s vs number of sub-channels (U=50, L=%d)", figure, yLabel, innerL),
@@ -289,16 +220,16 @@ func Figure9(opts Options) ([]report.Table, error) {
 			X:      betas,
 		}
 		for _, scale := range scales {
-			scheme, err := ttsa(fmt.Sprintf("U=%d", scale), 30, opts)
+			scheme, err := NewScheme("tsajs", 30, opts)
 			if err != nil {
 				return nil, err
 			}
-			points := make([]Point, 0, len(betas))
-			for _, b := range betas {
-				p := scenario.DefaultParams()
-				p.NumUsers = scale
-				p.BetaTime = b
-				points = append(points, Point{X: b, Params: p})
+			scheme.Name = fmt.Sprintf("U=%d", scale)
+			base := scenario.DefaultParams()
+			base.NumUsers = scale
+			points, err := Points(base, "betaTime", betas)
+			if err != nil {
+				return nil, err
 			}
 			t, err := Sweep(opts, panel.title, "beta_time", panel.yLabel,
 				[]Scheme{scheme}, points, panel.metric)
@@ -310,13 +241,4 @@ func Figure9(opts Options) ([]report.Table, error) {
 		tables = append(tables, merged)
 	}
 	return tables, nil
-}
-
-// SortSchemes orders a table's series by descending mean of the final
-// point, which puts the best-performing scheme first in reports.
-func SortSchemes(t *report.Table) {
-	last := len(t.X) - 1
-	sort.SliceStable(t.Series, func(i, j int) bool {
-		return t.Series[i].Points[last].Mean > t.Series[j].Points[last].Mean
-	})
 }

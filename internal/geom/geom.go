@@ -95,20 +95,6 @@ func axialToPoint(q, r int, spacing float64) Point {
 	}
 }
 
-// CoverageRadius returns the radius (km) of a disc that covers the hex
-// layout of n sites with the given inter-site distance, including each
-// cell's own coverage (half the inter-site distance around the outermost
-// sites).
-func CoverageRadius(n int, interSiteKm float64) float64 {
-	max := 0.0
-	for _, p := range HexLayout(n, interSiteKm) {
-		if d := p.Dist(Point{}); d > max {
-			max = d
-		}
-	}
-	return max + interSiteKm/2
-}
-
 // Nearest returns the index of the point in sites closest to p, and the
 // distance to it. It returns (-1, +Inf) for an empty site list.
 func Nearest(p Point, sites []Point) (int, float64) {

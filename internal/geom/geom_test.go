@@ -98,17 +98,6 @@ func TestHexLayoutCentreFirst(t *testing.T) {
 	}
 }
 
-func TestCoverageRadius(t *testing.T) {
-	// Single cell: radius is half the inter-site distance.
-	if r := CoverageRadius(1, 1); math.Abs(r-0.5) > 1e-9 {
-		t.Errorf("CoverageRadius(1) = %g, want 0.5", r)
-	}
-	// 7 sites: outermost at 1 km, so 1.5 km.
-	if r := CoverageRadius(7, 1); math.Abs(r-1.5) > 1e-9 {
-		t.Errorf("CoverageRadius(7) = %g, want 1.5", r)
-	}
-}
-
 func TestNearest(t *testing.T) {
 	sites := []Point{{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 0, Y: 3}}
 	idx, d := Nearest(Point{X: 1.9, Y: 0.1}, sites)

@@ -45,9 +45,8 @@ const epsilon = 0.1
 //
 // lag is the pipeline depth: how many epochs may be in flight before their
 // outcomes must inform planning. Sequential callers use lag 1 (plan e sees
-// everything through e-1); the coordinator uses QueueDepth+Workers+1, the
-// structural bound on stamped-but-unfinished epochs, so Plan never blocks
-// in steady state.
+// everything through e-1); the coordinator uses a constant 32, independent
+// of its worker count and queue depth, so that plans are too.
 type Selector struct {
 	members []string
 	index   map[string]int

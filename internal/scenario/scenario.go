@@ -165,11 +165,6 @@ func (sc *Scenario) TxPowers() []float64 { return sc.txPowers }
 // stride arithmetic to Gain.Data(). Shared state; read-only.
 func (sc *Scenario) RecvPower() []float64 { return sc.recvPower }
 
-// RecvPowerAt returns p_u·G_us^j for one (user, server, subchannel) triple.
-func (sc *Scenario) RecvPowerAt(u, s, j int) float64 {
-	return sc.recvPower[(u*len(sc.Servers)+s)*sc.NumChannels+j]
-}
-
 // CommWeights returns the per-user communication-cost weights
 // (φ_u + ψ_u·p_u), the numerator of each Γ(X) term in Eq. (19). Shared
 // state; read-only.

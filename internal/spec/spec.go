@@ -22,13 +22,9 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/tsajs/tsajs/internal/baseline"
-	"github.com/tsajs/tsajs/internal/core"
 	"github.com/tsajs/tsajs/internal/experiment"
-	"github.com/tsajs/tsajs/internal/portfolio"
 	"github.com/tsajs/tsajs/internal/report"
 	"github.com/tsajs/tsajs/internal/scenario"
-	"github.com/tsajs/tsajs/internal/solver"
 	"github.com/tsajs/tsajs/internal/units"
 )
 
@@ -51,15 +47,17 @@ type Base struct {
 type Spec struct {
 	// Title labels the output table.
 	Title string `json:"title"`
-	// Sweep names the swept parameter: users, servers, channels, dataKB,
-	// workMcycles, betaTime, txPowerDBm.
+	// Sweep names the swept parameter (experiment.SweepNames): users,
+	// servers, channels, dataKB, workMcycles, betaTime, txPowerDBm.
 	Sweep string `json:"sweep"`
 	// Values are the sweep points (the table's x axis).
 	Values []float64 `json:"values"`
 	// Metric is utility (default), time, energy or delay.
 	Metric string `json:"metric,omitempty"`
-	// Schemes lists schedulers: tsajs, exhaustive, hjtora, localsearch,
-	// greedy, tsajs-ms. Default: tsajs, hjtora, localsearch, greedy.
+	// Schemes lists schedulers by the names experiment.NewScheme accepts
+	// (tsajs, tsajs-ms, exhaustive, hjtora, localsearch, greedy and the
+	// aliases ttsa, optimal, local, in any case). Default:
+	// experiment.ComparisonSchemes (tsajs, hjtora, localsearch, greedy).
 	Schemes []string `json:"schemes,omitempty"`
 	// Trials is the realizations per point (default 10).
 	Trials int `json:"trials,omitempty"`
@@ -85,85 +83,27 @@ func Parse(blob []byte) (Spec, error) {
 	return sp, nil
 }
 
-// sweepSetters maps sweep names onto parameter mutations.
-var sweepSetters = map[string]func(*scenario.Params, float64) error{
-	"users": func(p *scenario.Params, v float64) error {
-		p.NumUsers = int(v)
-		return intCheck("users", v)
-	},
-	"servers": func(p *scenario.Params, v float64) error {
-		p.NumServers = int(v)
-		return intCheck("servers", v)
-	},
-	"channels": func(p *scenario.Params, v float64) error {
-		p.NumChannels = int(v)
-		return intCheck("channels", v)
-	},
-	"dataKB": func(p *scenario.Params, v float64) error {
-		p.Workload.DataBits = v * units.KB
-		return nil
-	},
-	"workMcycles": func(p *scenario.Params, v float64) error {
-		p.Workload.WorkCycles = v * units.Megacycle
-		return nil
-	},
-	"betaTime": func(p *scenario.Params, v float64) error {
-		p.BetaTime = v
-		return nil
-	},
-	"txPowerDBm": func(p *scenario.Params, v float64) error {
-		p.TxPowerDBm = v
-		return nil
-	},
-}
-
-func intCheck(name string, v float64) error {
-	if v != float64(int(v)) || v <= 0 {
-		return fmt.Errorf("spec: sweep %q needs positive integers, got %g", name, v)
-	}
-	return nil
-}
-
-// SweepNames lists the supported sweep parameters.
-func SweepNames() []string {
-	return []string{"users", "servers", "channels", "dataKB", "workMcycles", "betaTime", "txPowerDBm"}
-}
-
 // MetricNames lists the supported metrics.
 func MetricNames() []string { return []string{"utility", "time", "energy", "delay"} }
-
-// SchemeNames lists the supported scheduler identifiers.
-func SchemeNames() []string {
-	return []string{"tsajs", "exhaustive", "hjtora", "localsearch", "greedy", "tsajs-ms"}
-}
 
 // Validate checks the specification.
 func (sp Spec) Validate() error {
 	if sp.Title == "" {
 		return fmt.Errorf("spec: missing title")
 	}
-	setter, ok := sweepSetters[sp.Sweep]
-	if !ok {
-		return fmt.Errorf("spec: unknown sweep %q (want one of %v)", sp.Sweep, SweepNames())
-	}
 	if len(sp.Values) == 0 {
 		return fmt.Errorf("spec: no sweep values")
 	}
-	for _, v := range sp.Values {
-		p := scenario.DefaultParams()
-		if err := setter(&p, v); err != nil {
-			return err
-		}
+	if _, err := experiment.Points(scenario.DefaultParams(), sp.Sweep, sp.Values); err != nil {
+		return err
 	}
 	if sp.Metric != "" {
 		if _, err := metricFor(sp.Metric); err != nil {
 			return err
 		}
 	}
-	for _, name := range sp.Schemes {
-		if _, err := schemeFor(name, sp.InnerL); err != nil {
-			return err
-		}
+	if _, err := experiment.NewSchemes(sp.InnerL, experiment.Options{}, sp.Schemes...); err != nil {
+		return err
 	}
 	if sp.Trials < 0 {
 		return fmt.Errorf("spec: trials must be non-negative, got %d", sp.Trials)
@@ -186,40 +126,6 @@ func metricFor(name string) (experiment.Metric, error) {
 		return experiment.MeanDelayMetric, nil
 	default:
 		return nil, fmt.Errorf("spec: unknown metric %q (want one of %v)", name, MetricNames())
-	}
-}
-
-func schemeFor(name string, innerL int) (experiment.Scheme, error) {
-	if innerL == 0 {
-		innerL = core.DefaultConfig().InnerIterations
-	}
-	switch strings.ToLower(name) {
-	case "tsajs":
-		cfg := core.DefaultConfig()
-		cfg.InnerIterations = innerL
-		ts, err := core.New(cfg)
-		if err != nil {
-			return experiment.Scheme{}, err
-		}
-		return experiment.Scheme{Name: "TSAJS", Scheduler: ts}, nil
-	case "tsajs-ms":
-		cfg := core.DefaultConfig()
-		cfg.InnerIterations = innerL
-		pf, err := portfolio.New(cfg, solver.PortfolioOptions{Chains: 4})
-		if err != nil {
-			return experiment.Scheme{}, err
-		}
-		return experiment.Scheme{Name: "TSAJS-MS", Scheduler: pf}, nil
-	case "exhaustive":
-		return experiment.Scheme{Name: "Exhaustive", Scheduler: &baseline.Exhaustive{}}, nil
-	case "hjtora":
-		return experiment.Scheme{Name: "hJTORA", Scheduler: &baseline.HJTORA{}}, nil
-	case "localsearch":
-		return experiment.Scheme{Name: "LocalSearch", Scheduler: baseline.NewDefaultLocalSearch()}, nil
-	case "greedy":
-		return experiment.Scheme{Name: "Greedy", Scheduler: &baseline.Greedy{}}, nil
-	default:
-		return experiment.Scheme{}, fmt.Errorf("spec: unknown scheme %q (want one of %v)", name, SchemeNames())
 	}
 }
 
@@ -269,27 +175,17 @@ func (sp Spec) Run() (report.Table, error) {
 	if err != nil {
 		return report.Table{}, err
 	}
-	schemeNames := sp.Schemes
-	if len(schemeNames) == 0 {
-		schemeNames = []string{"tsajs", "hjtora", "localsearch", "greedy"}
+	names := sp.Schemes
+	if len(names) == 0 {
+		names = experiment.ComparisonSchemes()
 	}
-	schemes := make([]experiment.Scheme, 0, len(schemeNames))
-	for _, name := range schemeNames {
-		sch, err := schemeFor(name, sp.InnerL)
-		if err != nil {
-			return report.Table{}, err
-		}
-		schemes = append(schemes, sch)
+	schemes, err := experiment.NewSchemes(sp.InnerL, experiment.Options{}, names...)
+	if err != nil {
+		return report.Table{}, err
 	}
-
-	setter := sweepSetters[sp.Sweep]
-	points := make([]experiment.Point, 0, len(sp.Values))
-	for _, v := range sp.Values {
-		p := sp.params()
-		if err := setter(&p, v); err != nil {
-			return report.Table{}, err
-		}
-		points = append(points, experiment.Point{X: v, Params: p})
+	points, err := experiment.Points(sp.params(), sp.Sweep, sp.Values)
+	if err != nil {
+		return report.Table{}, err
 	}
 
 	yLabel := sp.Metric

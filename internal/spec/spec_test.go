@@ -3,6 +3,8 @@ package spec
 import (
 	"strings"
 	"testing"
+
+	"github.com/tsajs/tsajs/internal/experiment"
 )
 
 func validSpec() Spec {
@@ -123,8 +125,8 @@ func TestRunEverySweepParameter(t *testing.T) {
 		"betaTime":    {0.2, 0.8},
 		"txPowerDBm":  {5, 15},
 	}
-	if len(sweeps) != len(SweepNames()) {
-		t.Fatalf("test covers %d sweeps, package supports %d", len(sweeps), len(SweepNames()))
+	if len(sweeps) != len(experiment.SweepNames()) {
+		t.Fatalf("test covers %d sweeps, package supports %d", len(sweeps), len(experiment.SweepNames()))
 	}
 	for name, values := range sweeps {
 		t.Run(name, func(t *testing.T) {
@@ -165,7 +167,7 @@ func TestRunEveryMetric(t *testing.T) {
 }
 
 func TestRunEveryScheme(t *testing.T) {
-	for _, scheme := range SchemeNames() {
+	for _, scheme := range experiment.SchemeNames() {
 		t.Run(scheme, func(t *testing.T) {
 			sp := validSpec()
 			sp.Values = []float64{4} // keep exhaustive feasible
@@ -222,7 +224,7 @@ func TestSchemeNameCaseInsensitive(t *testing.T) {
 }
 
 func TestNameListsNonEmpty(t *testing.T) {
-	for _, list := range [][]string{SweepNames(), MetricNames(), SchemeNames()} {
+	for _, list := range [][]string{experiment.SweepNames(), MetricNames(), experiment.SchemeNames()} {
 		if len(list) == 0 {
 			t.Fatal("empty name list")
 		}

@@ -6,7 +6,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Summary describes a sample of trial outcomes.
@@ -59,20 +58,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Median returns the median of xs (0 for an empty sample).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return sorted[mid]
-	}
-	return (sorted[mid-1] + sorted[mid]) / 2
 }
 
 // tCritical95 returns the two-sided 95% Student-t critical value for the

@@ -68,34 +68,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	tests := []struct {
-		name string
-		xs   []float64
-		want float64
-	}{
-		{name: "odd", xs: []float64{5, 1, 3}, want: 3},
-		{name: "even", xs: []float64{4, 1, 3, 2}, want: 2.5},
-		{name: "single", xs: []float64{9}, want: 9},
-		{name: "empty", xs: nil, want: 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := Median(tt.xs); got != tt.want {
-				t.Errorf("Median(%v) = %g, want %g", tt.xs, got, tt.want)
-			}
-		})
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	_ = Median(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Median mutated its input: %v", xs)
-	}
-}
-
 func TestTCritical95(t *testing.T) {
 	tests := []struct {
 		df   int

@@ -96,7 +96,8 @@ type (
 	OffloadResponse = cran.OffloadResponse
 	// ResilienceConfig tunes the client-side fault tolerance: retries
 	// with jittered exponential backoff, automatic reconnection, a
-	// circuit breaker, and graceful degradation to local execution.
+	// circuit breaker, and graceful degradation to local execution. Leave
+	// its Metrics nil: the client counters it takes are internal.
 	ResilienceConfig = cran.ResilienceConfig
 	// FaultConfig parametrizes seedable fault-plan generation (two-state
 	// Markov outages per edge server plus coordinator windows).
@@ -119,10 +120,6 @@ type (
 	// lock-free counters, gauges, and fixed-bucket histograms, rendered in
 	// Prometheus text exposition format and JSON.
 	MetricsRegistry = obs.Registry
-	// ClientMetrics counts the resilient client's retries, redials,
-	// breaker fast-fails, and graceful degradations; wire into
-	// ResilienceConfig.Metrics.
-	ClientMetrics = obs.ClientMetrics
 	// CoordinatorPartition marks a coordinator as one shard of a K-shard
 	// cluster: it owns the cells the assignment table gives its index,
 	// rejects requests for foreign cells with ErrWrongShard, and counts
